@@ -10,13 +10,7 @@ from .billiard import (
     BilliardDiagram,
     SignedDiagram,
     TableSpec,
-    assign_signs,
-    build_bumpered,
-    build_table,
-    component_count,
     diagram,
-    export_gauss,
-    export_pd,
     writhe_direct,
 )
 from .laurent import (
@@ -45,10 +39,8 @@ from .terms import (
     SlotTerm,
     TermSum,
     concat,
-    eval_sum,
     expand_block,
     parse_signs,
-    slot_width,
 )
 from .tiling import count_domino_tilings, enumerate_term_tilings, tiling_to_term
 
@@ -65,15 +57,11 @@ __all__ = [
     "SlotTerm",
     "TableSpec",
     "TermSum",
-    "assign_signs",
     "b_terms",
     "bracket_all_signs",
     "bracket_bruteforce",
     "bt_terms",
-    "build_bumpered",
-    "build_table",
     "coefficient_string",
-    "component_count",
     "compositions",
     "concat",
     "count_domino_tilings",
@@ -82,10 +70,7 @@ __all__ = [
     "delta_power",
     "diagram",
     "enumerate_term_tilings",
-    "eval_sum",
     "expand_block",
-    "export_gauss",
-    "export_pd",
     "f_terms",
     "h_terms",
     "jones",
@@ -93,7 +78,6 @@ __all__ = [
     "padovan",
     "parse_signs",
     "sign_sequences",
-    "slot_width",
     "tiling_to_term",
     "writhe_direct",
     "writhe_recursive",

@@ -142,8 +142,7 @@ class Slot:
 
 
 class BilliardDiagram:
-    """Immutable combinatorial diagram produced by :func:`build_table` or
-    :func:`build_bumpered`."""
+    """Immutable combinatorial diagram of a rectangular or bumpered table."""
 
     def __init__(self, spec: TableSpec):
         self.spec = spec
@@ -586,42 +585,12 @@ class SignedDiagram:
         return "; ".join(parts)
 
 
-def build_table(spec: TableSpec) -> BilliardDiagram:
-    """Diagram of the full rectangular table T(a,b)."""
-    if spec.bumpers:
-        raise ValueError("use build_bumpered for bumpered specs")
-    return BilliardDiagram(spec)
-
-
-def build_bumpered(spec: TableSpec) -> BilliardDiagram:
-    """Diagram of a bumpered table B1/B2(5,b)."""
-    if not spec.bumpers:
-        raise ValueError("spec has no bumpers")
-    return BilliardDiagram(spec)
-
-
 def diagram(a: int, b: int, bumpers: int = 0) -> BilliardDiagram:
     """Convenience builder; picks the bumper side automatically."""
     spec = TableSpec.rect(a, b) if not bumpers else TableSpec.bumpered(b, bumpers)
     return BilliardDiagram(spec)
 
 
-def assign_signs(d: BilliardDiagram, signs: SignSeq | str) -> SignedDiagram:
-    return d.assign_signs(signs)
-
-
 def writhe_direct(sd: SignedDiagram) -> int:
     """Sum of oriented crossing signs under the trajectory orientation."""
     return sd.writhe()
-
-
-def export_pd(sd: SignedDiagram) -> str:
-    return sd.pd_code()
-
-
-def export_gauss(sd: SignedDiagram) -> str:
-    return sd.gauss_code()
-
-
-def component_count(d: BilliardDiagram) -> int:
-    return d.component_count()

@@ -12,7 +12,7 @@ import time
 
 from .billiard import BilliardDiagram, TableSpec, diagram, writhe_direct
 from .laurent import coefficient_string, jones_normalize
-from .oracle import bracket_all_signs, bracket_bruteforce
+from .oracle import SWEEP_LIMIT, bracket_all_signs, bracket_bruteforce
 from .recursions import (
     b_summands,
     b_terms,
@@ -28,13 +28,21 @@ from .recursions import (
     render_f,
     render_h,
 )
-from .terms import CompiledTermSum, TermSum
+from .terms import BLOCKS, CompiledTermSum, TermSum, add_all
 from .tiling import count_domino_tilings, enumerate_term_tilings, render_tilings, tiling_to_term
 
 #: Alternating-sign families reproduced by the ``table`` subcommand; the
 #: second table's b=5 entry has no reference row and is omitted.
 TABLE1_ROWS = [(2, "U"), (4, "3_1"), (5, "4_1"), (7, "6_3"), (8, "7_7"), (10, "9_31"), (11, "10_45")]
 TABLE2_ROWS = [(2, "U"), (3, "4_1"), (4, "6_2"), (6, "10_116"), (7, "12a_0960")]
+
+#: family -> (table height, bumpers, expansion builder, renderer).
+FAMILIES = {
+    "f": (3, 0, f_terms, render_f),
+    "h": (5, 0, h_terms, render_h),
+    "b": (5, 2, b_terms, render_b),
+    "bt": (5, 1, bt_terms, render_bt),
+}
 
 
 def _spec_from_args(args) -> TableSpec:
@@ -44,29 +52,12 @@ def _spec_from_args(args) -> TableSpec:
     return TableSpec.rect(args.a, args.b)
 
 
-def _family_terms(family: str, n: int) -> TermSum:
-    return {"f": f_terms, "h": h_terms, "b": b_terms, "bt": bt_terms}[family](n)
-
-
-def _family_diagram(family: str, n: int) -> BilliardDiagram:
-    a = 3 if family == "f" else 5
-    bumpers = {"f": 0, "h": 0, "b": 2, "bt": 1}[family]
-    return diagram(a, n, bumpers=bumpers)
-
-
 def _recursion_terms(spec: TableSpec) -> TermSum:
-    if spec.bumpers == 2:
-        return b_terms(spec.b)
-    if spec.bumpers == 1:
-        return bt_terms(spec.b)
-    if spec.a == 3:
-        return f_terms(spec.b)
-    if spec.a == 5:
-        return h_terms(spec.b)
-    if spec.a == 4 and spec.b == 2:
-        from .terms import G2_BLOCK
-
-        return G2_BLOCK
+    for a, bumpers, terms, _ in FAMILIES.values():
+        if (spec.a, spec.bumpers) == (a, bumpers):
+            return terms(spec.b)
+    if (spec.a, spec.b) == (4, 2):
+        return BLOCKS["g2"]
     raise ValueError("no closed-form expansion for this table; use --method oracle")
 
 
@@ -110,8 +101,9 @@ def cmd_jones(args) -> int:
 
 def cmd_terms(args) -> int:
     family, n = args.family, args.n
-    ts = _family_terms(family, n)
-    rendered = {"f": render_f, "h": render_h, "b": render_b, "bt": render_bt}[family](n)
+    _, _, terms, render = FAMILIES[family]
+    ts = terms(n)
+    rendered = render(n)
     counts = {"slot_width": ts.width, "flat_terms": len(ts.terms)}
     if family == "f":
         counts["summands"] = count_f_terms(n)
@@ -150,16 +142,23 @@ def cmd_pd(args) -> int:
 
 def cmd_verify(args) -> int:
     family = args.family
+    a, bumpers, terms, _ = FAMILIES[family]
+    widest = diagram(a, args.max_n, bumpers=bumpers)
+    if widest.crossing_count > SWEEP_LIMIT:
+        raise ValueError(
+            f"--max-n {args.max_n}: {widest.spec.label()} has "
+            f"{widest.crossing_count} crossings, over the sweep limit {SWEEP_LIMIT}"
+        )
     mismatches = []
     checked = 0
     for n in range(1, args.max_n + 1):
-        d = _family_diagram(family, n)
-        ts = _family_terms(family, n)
+        d = diagram(a, n, bumpers=bumpers)
+        ts = terms(n)
         if ts.width != d.slot_count or ts.skip_positions != d.skip_positions:
             mismatches.append((n, "<slot layout>"))
             continue
         evaluator = CompiledTermSum(ts)
-        oracle = bracket_all_signs(d, limit=max(14, d.crossing_count))
+        oracle = bracket_all_signs(d)
         for s, want in oracle.items():
             checked += 1
             if evaluator.evaluate(s) != want:
@@ -251,10 +250,7 @@ def cmd_tilings(args) -> int:
     tilings = enumerate_term_tilings(b)
     rendered = render_tilings(b)
     expansion = f_terms(b)
-    mapped = None
-    for t in tilings:
-        ts = tiling_to_term(t)
-        mapped = ts if mapped is None else mapped + ts
+    mapped = add_all(tiling_to_term(t) for t in tilings)
     bijection = mapped.canonical() == expansion.canonical()
     counts_ok = len(tilings) == count_f_terms(b)
     text = (
@@ -300,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jones)
 
     p = sub.add_parser("terms", help="render a closed-form expansion")
-    p.add_argument("--family", choices=("f", "h", "b", "bt"), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_terms)
 
@@ -309,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pd)
 
     p = sub.add_parser("verify", help="oracle sweep over all sign sequences")
-    p.add_argument("--family", choices=("f", "h", "b", "bt"), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.set_defaults(func=cmd_verify)
 

@@ -32,6 +32,10 @@ from .terms import parse_signs, signs_text
 _PAIRING_V = ((SE, NE), (NW, SW))
 _PAIRING_H = ((NE, NW), (SW, SE))
 
+#: Default crossing-count limit of ``bracket_all_signs``: the sweep holds a
+#: 2^k loop table and serves 2^k sign assignments from it.
+SWEEP_LIMIT = 14
+
 
 def _arc_pairings(d: BilliardDiagram) -> list[tuple[tuple[int, int], ...]]:
     """Per crossing, the two smoothing pairings as arc-id pairs."""
@@ -151,7 +155,7 @@ def _loops_table(d: BilliardDiagram) -> np.ndarray:
 
 
 def bracket_all_signs(
-    d: BilliardDiagram, limit: int = 14
+    d: BilliardDiagram, limit: int = SWEEP_LIMIT
 ) -> dict[str, LaurentPoly]:
     """Brute-force bracket for every sign assignment of the diagram.
 
@@ -161,7 +165,7 @@ def bracket_all_signs(
     """
     k = d.crossing_count
     if k > limit:
-        raise ValueError(f"slot count {k} exceeds the sweep limit {limit}")
+        raise ValueError(f"crossing count {k} exceeds the sweep limit {limit}")
     base = delta_power(d.component_count() - 1)
     if not k:
         return {signs_text((None,) * d.slot_count): base}

@@ -31,32 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .billiard import diagram, writhe_direct
 from .terms import (
-    AMP,
-    APM,
-    C_BLOCK,
+    BLOCKS,
     EMPTY,
-    F2MP,
-    F2PM,
-    F3_BLOCK,
-    G2_BLOCK,
-    H2_BLOCK,
-    H3_BLOCK,
-    K_BLOCK,
-    L_BLOCK,
-    M_BLOCK,
-    N_BLOCK,
-    NT_BLOCK,
-    R_BLOCK,
-    RT_BLOCK,
-    S_BLOCK,
-    SKIP,
     SignSeq,
     TermSum,
-    X_BLOCK,
+    add_all,
     concat,
     p_prime,
     p_tilde,
@@ -70,9 +53,19 @@ from .terms import (
 # ---------------------------------------------------------------------------
 
 # Summand tokens: S2 = leading f3 block, S1 = leading kink factor, V = A^±,
-# H = the kink pair (f2^∓, A^∓), C = the two-summand block.
-_TOKEN_WIDTH = {"S2": 2, "S1": 1, "V": 1, "H": 2, "C": 2}
-_TOKEN_TEXT = {"S2": "f3", "S1": "f2^±", "V": "A^±", "H": "f2^∓,A^∓", "C": "C"}
+# H = the kink pair (f2^∓, A^∓), C = the two-summand block.  Each token
+# spells out as the block symbols it stands for.
+_F_TOKENS = {
+    "S2": ("f3",),
+    "S1": ("f2^±",),
+    "V": ("A^±",),
+    "H": ("f2^∓", "A^∓"),
+    "C": ("C",),
+}
+
+
+def _f_symbols(summand: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(sym for tok in summand for sym in _F_TOKENS[tok])
 
 
 def _f_step(summands: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
@@ -123,47 +116,39 @@ def padovan(n: int) -> int:
     return a[n]
 
 
-_F_TOKEN_SUM = {
-    "S2": F3_BLOCK,
-    "S1": F2PM,
-    "V": APM,
-    "H": concat(F2MP, AMP),
-    "C": C_BLOCK,
-}
-
-
 @lru_cache(maxsize=None)
 def f_terms(b: int) -> TermSum:
     """Flat term sum for the height-3 table of width b-1."""
-    total: TermSum | None = None
-    for summand in f_summands(b):
-        ts = product(*(_F_TOKEN_SUM[tok] for tok in summand))
-        total = ts if total is None else total + ts
-    assert total is not None and total.width == b - 1
+    total = _family_terms(_f_symbols(s) for s in f_summands(b))
+    assert total.width == b - 1
     return total
 
 
-def render_f(b: int) -> str:
-    """The f sum in tuple notation, branch groups bracketed as printed."""
-    if b == 1:
-        return "1"
-    if b == 2:
-        return "(f2^±)"
-    if b == 3:
-        return "(f2^±,A^±)+(f2^∓,A^∓)"
-    if b == 4:
-        return "(f3,A^±)+(f2^±,f2^∓,A^∓)"
+def render_f(
+    b: int, spell: Callable[[tuple[str, ...]], tuple[str, ...]] = _f_symbols
+) -> str:
+    """The f sum in tuple notation, branch groups bracketed as printed.
+
+    From b = 5 on, summands are grouped by their parent summand at width
+    b-2; a parent that branches under the rewriting prints as its common
+    prefix followed by the bracketed branches.  ``spell`` maps a token tuple
+    to the symbols shown (block symbols by default, tile names as is).
+    """
+    if b <= 4:
+        return _render_summands(tuple(spell(s) for s in f_summands(b)))
+
+    def text(tokens: tuple[str, ...]) -> str:
+        return ",".join(spell(tokens))
+
     parts = []
     for parent in f_summands(b - 1):
-        if parent[-1] == "C":
-            prefix = ",".join(_TOKEN_TEXT[t] for t in parent[:-1])
-            parts.append(f"({prefix},[C,A^±]+[A^±,f2^∓,A^∓])")
-        elif parent[-1] == "V":
-            body = ",".join(_TOKEN_TEXT[t] for t in parent[:-1] + ("C",))
-            parts.append(f"({body})")
+        children = _f_step([parent])
+        if len(children) == 1:
+            parts.append(f"({text(children[0])})")
         else:
-            body = ",".join(_TOKEN_TEXT[t] for t in parent + ("V",))
-            parts.append(f"({body})")
+            prefix = parent[:-1]
+            branches = "+".join(f"[{text(c[len(prefix):])}]" for c in children)
+            parts.append(f"({text(prefix)},{branches})")
     return "+".join(parts)
 
 
@@ -249,11 +234,11 @@ def skeletons_json(b: int) -> list[dict]:
 
 
 def _skeleton_sum(sk: HSkeleton, q_fn: Callable[[int], TermSum]) -> TermSum:
-    head = (
-        concat(H3_BLOCK, p_tilde(sk.i - 2))
-        + concat(H2_BLOCK, p_prime(sk.i - 1))
-        + q_fn(sk.i)
-    )
+    head = add_all((
+        concat(BLOCKS["h3"], p_tilde(sk.i - 2)),
+        concat(BLOCKS["h2"], p_prime(sk.i - 1)),
+        q_fn(sk.i),
+    ))
     blocks = [head]
     for c, prime in zip(sk.tail, sk.tail_primes):
         blocks.append(p_prime(c) if prime else p_tilde(c))
@@ -270,14 +255,11 @@ def _h_terms_custom(
     if b == 1:
         return EMPTY
     if b == 2:
-        return H2_BLOCK
+        return BLOCKS["h2"]
     if b == 3:
-        return H3_BLOCK
-    total: TermSum | None = None
-    for sk in h_skeletons(b, tail_prime):
-        ts = _skeleton_sum(sk, q_fn)
-        total = ts if total is None else total + ts
-    assert total is not None and total.width == 2 * (b - 1)
+        return BLOCKS["h3"]
+    total = add_all(_skeleton_sum(sk, q_fn) for sk in h_skeletons(b, tail_prime))
+    assert total.width == 2 * (b - 1)
     return total
 
 
@@ -331,29 +313,11 @@ def render_h(b: int) -> str:
 # Bumpered families.
 # ---------------------------------------------------------------------------
 
-_SYMBOL_SUM = {
-    "A^±": APM,
-    "A^∓": AMP,
-    "f2^±": F2PM,
-    "f2^∓": F2MP,
-    "_": SKIP,
-    "K": K_BLOCK,
-    "L": L_BLOCK,
-    "M": M_BLOCK,
-    "N": N_BLOCK,
-    "Ñ": NT_BLOCK,
-    "R": R_BLOCK,
-    "R̃": RT_BLOCK,
-    "S": S_BLOCK,
-    "X": X_BLOCK,
-    "g2": G2_BLOCK,
-}
-
-
 def _symbol_sum(tok: str) -> TermSum:
-    if tok.startswith("h") and tok[1:].isdigit():
-        return h_terms(int(tok[1:]))
-    return _SYMBOL_SUM[tok]
+    """A summand symbol's term sum: a ``BLOCKS`` entry or ``h<m>``."""
+    if tok in BLOCKS:
+        return BLOCKS[tok]
+    return h_terms(int(tok[1:]))
 
 
 def b_summands(n: int) -> tuple[tuple[str, ...], ...]:
@@ -417,13 +381,9 @@ def bt_summands(n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-def _family_terms(summands: Sequence[tuple[str, ...]]) -> TermSum:
-    total: TermSum | None = None
-    for summand in summands:
-        ts = product(*(_symbol_sum(tok) for tok in summand))
-        total = ts if total is None else total + ts
-    assert total is not None
-    return total
+def _family_terms(summands: Iterable[tuple[str, ...]]) -> TermSum:
+    """Sum over summands, each the product of its symbols' term sums."""
+    return add_all(product(*map(_symbol_sum, s)) for s in summands)
 
 
 @lru_cache(maxsize=None)

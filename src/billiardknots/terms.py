@@ -22,9 +22,13 @@ kind        value at s = +1        value at s = -1
 slot position that the diagram family leaves without a crossing, so sign
 sequences for such families align positionally with the full slot grid.
 
-Named fixed-width blocks (C, X, K, L, M, N, NT, R, RT, S, g2, h2, h3, f3)
-and the parametric families P'_i, P~'_i, Q_i expand eagerly to flat term
-sums; evaluation never recurses.
+``BLOCKS`` is the one registry of fixed-width blocks, keyed by the symbol
+printed in the closed-form tables: the single factors (A^±, A^∓, f2^±, f2^∓,
+_) and the named blocks (C, X, K, L, M, N, Ñ, R, R̃, S, g2, h2, h3, f3).  The
+family builders spell each summand as a tuple of these symbols.  Blocks and
+the parametric families P'_i, P~'_i, Q_i expand eagerly to flat term sums;
+evaluation never recurses.  ``add_all`` sums any number of term sums in one
+pass, validating the widths and skip layouts once.
 """
 
 from __future__ import annotations
@@ -159,9 +163,7 @@ class TermSum:
         return len(self.terms)
 
     def __add__(self, other: "TermSum") -> "TermSum":
-        if other.width != self.width:
-            raise ValueError("cannot add term sums of different widths")
-        return TermSum(self.terms + other.terms, self.width)
+        return add_all((self, other))
 
     def scale(self, scalar: LaurentPoly) -> "TermSum":
         return TermSum(
@@ -199,21 +201,37 @@ class TermSum:
         return f"TermSum(width={self.width}, terms={len(self.terms)})"
 
 
+def add_all(parts: Iterable[TermSum]) -> TermSum:
+    """Sum of term sums in one pass: joins every part's terms and validates
+    the widths and skip layouts once, however many parts there are."""
+    terms: list[SlotTerm] = []
+    width = None
+    for part in parts:
+        if width is None:
+            width = part.width
+        elif part.width != width:
+            raise ValueError("cannot add term sums of different widths")
+        terms.extend(part.terms)
+    if width is None:
+        raise ValueError("width required for an empty term sum")
+    return TermSum(terms, width)
+
+
 def concat(prefix: TermSum, suffix: TermSum) -> TermSum:
     """Distributive juxtaposition: every prefix term times every suffix term."""
-    terms = [
-        SlotTerm(p.scalar * q.scalar, p.factors + q.factors)
-        for p in prefix.terms
-        for q in suffix.terms
-    ]
-    return TermSum(terms, prefix.width + suffix.width)
+    return product(prefix, suffix)
 
 
 def product(*sums: TermSum) -> TermSum:
-    out = EMPTY
+    """Juxtaposition of any number of term sums, validated once at the end."""
+    terms = EMPTY.terms
     for s in sums:
-        out = concat(out, s)
-    return out
+        terms = [
+            SlotTerm(p.scalar * q.scalar, p.factors + q.factors)
+            for p in terms
+            for q in s.terms
+        ]
+    return TermSum(terms, sum(s.width for s in sums))
 
 
 def _single(*factors: Factor, scalar: LaurentPoly | None = None) -> TermSum:
@@ -361,44 +379,47 @@ def q_block(i: int) -> TermSum:
     return out
 
 
-_FIXED_BLOCKS: dict[str, TermSum] = {
+#: The block registry, keyed by printed symbol.
+BLOCKS: dict[str, TermSum] = {
+    "A^±": APM,
+    "A^∓": AMP,
+    "f2^±": F2PM,
+    "f2^∓": F2MP,
+    "_": SKIP,
     "C": C_BLOCK,
     "X": X_BLOCK,
     "K": K_BLOCK,
     "L": L_BLOCK,
     "M": M_BLOCK,
     "N": N_BLOCK,
-    "NT": NT_BLOCK,
     "Ñ": NT_BLOCK,
     "R": R_BLOCK,
-    "RT": RT_BLOCK,
     "R̃": RT_BLOCK,
     "S": S_BLOCK,
     "g2": G2_BLOCK,
     "h2": H2_BLOCK,
     "h3": H3_BLOCK,
     "f3": F3_BLOCK,
-    "f2pm": F2PM,
-    "f2mp": F2MP,
 }
 
 
 def expand_block(name: str, i: int | None = None, j: int | None = None) -> TermSum:
-    """Look up a named block, fully expanded to a flat term sum.
+    """Look up a block, fully expanded to a flat term sum.
 
-    Fixed blocks take no index.  ``P'``/``P~'`` need ``i >= 1``; ``Q`` needs
-    ``i >= 3``.  ``P`` additionally takes the tail position ``j`` (slot pairs
-    preceding the block) and resolves to P' when ``i + j`` is odd, else P~'.
+    Fixed blocks are the ``BLOCKS`` symbols and take no index.  ``P'``/``P~'``
+    need ``i >= 1``; ``Q`` needs ``i >= 3``.  ``P`` additionally takes the tail
+    position ``j`` (slot pairs preceding the block) and resolves to P' when
+    ``i + j`` is odd, else P~'.
     """
-    if name in _FIXED_BLOCKS:
+    if name in BLOCKS:
         if i is not None:
             raise ValueError(f"block {name} takes no index")
-        return _FIXED_BLOCKS[name]
+        return BLOCKS[name]
     if i is None:
         raise ValueError(f"block {name} needs an index")
-    if name in ("P'", "Pp"):
+    if name == "P'":
         return p_prime(i)
-    if name in ("P~'", "P~", "Pt"):
+    if name == "P~'":
         return p_tilde(i)
     if name == "Q":
         return q_block(i)
@@ -407,19 +428,6 @@ def expand_block(name: str, i: int | None = None, j: int | None = None) -> TermS
             raise ValueError("block P needs the position parameter j")
         return p_prime(i) if (i + j) % 2 == 1 else p_tilde(i)
     raise ValueError(f"unknown block {name!r}")
-
-
-def slot_width(ts: TermSum) -> int:
-    """Common width of a term sum (construction already enforces agreement)."""
-    for t in ts.terms:
-        if t.width != ts.width:
-            raise ValueError("inconsistent term widths")
-    return ts.width
-
-
-def eval_sum(ts: TermSum, signs: SignSeq | str) -> LaurentPoly:
-    """Evaluate a term sum at a sign sequence (see TermSum.evaluate)."""
-    return ts.evaluate(signs)
 
 
 class CompiledTermSum:
@@ -441,7 +449,7 @@ class CompiledTermSum:
         for r, t in enumerate(ts.terms):
             sgn, k = _as_delta_power(t.scalar)
             if k is None:
-                raise ValueError("term scalar is not ±delta^k; use eval_sum")
+                raise ValueError("term scalar is not ±delta^k; use TermSum.evaluate")
             for col, f in enumerate(t.factors):
                 self.weights[r, col] = _WEIGHT[f]
                 if _NEGATIVE[f]:

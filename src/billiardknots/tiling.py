@@ -6,16 +6,15 @@ dominoes (H), the branching block C is a 2 x 2 square, and the two leading
 configurations are start tiles S2 (2 x 2) and S1 (vertical domino).  All
 2 x n domino tilings are counted by Fibonacci numbers; the term tilings are
 the sparser Padovan-counted subset reachable from the rewriting rules.
+
+The tile names are the f recurrence's own summand tokens, so the term
+tilings are the summands of ``recursions.f_summands`` read as tiles.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import recursions
-from .terms import TermSum, product
-
-TILE_WIDTH = {"S1": 1, "S2": 2, "V": 1, "H": 2, "C": 2}
+from .terms import BLOCKS, TermSum, product
 
 
 def count_domino_tilings(n: int) -> int:
@@ -28,55 +27,22 @@ def count_domino_tilings(n: int) -> int:
     return cur if n else 1
 
 
-def _step(tilings: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
-    out: list[tuple[str, ...]] = []
-    for t in tilings:
-        last = t[-1]
-        if last == "V":
-            out.append(t[:-1] + ("C",))
-        elif last == "H":
-            out.append(t + ("V",))
-        elif last == "C":
-            out.append(t[:-1] + ("C", "V"))
-            out.append(t[:-1] + ("V", "H"))
-        else:
-            raise AssertionError(f"tiling ends in start tile {last}")
-    return out
-
-
-@lru_cache(maxsize=None)
 def enumerate_term_tilings(b: int) -> tuple[tuple[str, ...], ...]:
     """Tile sequences of board length b-1 reachable from the rewriting."""
     if b < 4:
         raise ValueError("term tilings start at b = 4")
-    tilings = [("S2", "V"), ("S1", "H")]
-    for _ in range(b - 4):
-        tilings = _step(tilings)
-    for t in tilings:
-        if sum(TILE_WIDTH[x] for x in t) != b - 1:
-            raise AssertionError(f"tile widths of {t} do not cover the board")
-    return tuple(tilings)
+    return recursions.f_summands(b)
 
 
 def tiling_to_term(t: tuple[str, ...]) -> TermSum:
     """The f summand a tile sequence stands for, as a flat term sum."""
     if not t or t[0] not in ("S1", "S2") or any(x in ("S1", "S2") for x in t[1:]):
         raise ValueError("a tiling carries exactly one start tile, first")
-    key = {"S2": "S2", "S1": "S1", "V": "V", "H": "H", "C": "C"}
-    return product(*(recursions._F_TOKEN_SUM[key[x]] for x in t))
+    return product(*(BLOCKS[sym] for sym in recursions._f_symbols(t)))
 
 
 def render_tilings(b: int) -> str:
     """Tile sequences with branch groups bracketed, e.g. (S2,C,[C,V]+[V,H])."""
-    if b == 4:
-        return "(S2,V)+(S1,H)"
-    parts = []
-    for parent in enumerate_term_tilings(b - 1):
-        if parent[-1] == "C":
-            prefix = ",".join(parent[:-1])
-            parts.append(f"({prefix},[C,V]+[V,H])")
-        elif parent[-1] == "V":
-            parts.append("(" + ",".join(parent[:-1] + ("C",)) + ")")
-        else:
-            parts.append("(" + ",".join(parent + ("V",)) + ")")
-    return "+".join(parts)
+    if b < 4:
+        raise ValueError("term tilings start at b = 4")
+    return recursions.render_f(b, spell=tuple)

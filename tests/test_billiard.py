@@ -7,9 +7,6 @@ import pytest
 from billiardknots.billiard import (
     BilliardDiagram,
     TableSpec,
-    build_bumpered,
-    build_table,
-    component_count,
     diagram,
     writhe_direct,
 )
@@ -70,37 +67,37 @@ def test_coprime_crossing_formula():
 
 
 def test_unknot_table():
-    d = build_table(TableSpec.rect(3, 1))
+    d = BilliardDiagram(TableSpec.rect(3, 1))
     assert d.crossing_count == 0
-    assert component_count(d) == 1
+    assert d.component_count() == 1
 
 
 def test_t33_two_components():
     d = diagram(3, 3)
     assert d.crossing_count == 2
-    assert component_count(d) == 2
+    assert d.component_count() == 2
 
 
 def test_t57_single_component():
     d = diagram(5, 7)
     assert d.crossing_count == 12
-    assert component_count(d) == 1
+    assert d.component_count() == 1
 
 
 def test_t42_two_long_components():
     d = diagram(4, 2)
     assert d.crossing_count == 2
-    assert component_count(d) == 2
+    assert d.component_count() == 2
 
 
 def test_bumpered_shapes():
-    d = build_bumpered(TableSpec.bumpered(7, 2))
-    assert component_count(d) == 1
+    d = BilliardDiagram(TableSpec.bumpered(7, 2))
+    assert d.component_count() == 1
     assert d.crossing_count == 11
     assert not d.skip_positions
 
     d8 = diagram(5, 8, bumpers=2)
-    assert component_count(d8) == 2
+    assert d8.component_count() == 2
     assert d8.slot_count == 14
     assert d8.skip_positions == {12}
 
@@ -133,10 +130,6 @@ def test_parity_rule_rejections():
         TableSpec(3, 5, bumpers=1, side="bottom")
     with pytest.raises(ValueError):
         TableSpec(6, 4)
-    with pytest.raises(ValueError):
-        build_table(TableSpec.bumpered(5, 1))
-    with pytest.raises(ValueError):
-        build_bumpered(TableSpec.rect(5, 5))
 
 
 def test_assign_signs_validation():

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from billiardknots.cli import main
+from billiardknots.oracle import SWEEP_LIMIT
 
 
 def run(capsys, *argv):
@@ -70,6 +72,14 @@ def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--family", "f", "--max-n", "6")
     assert code == 0
     assert "all match" in out
+
+
+def test_verify_over_sweep_limit_exit_2(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--family", "h", "--max-n", "9")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "16 crossings" in err and f"sweep limit {SWEEP_LIMIT}" in err
 
 
 def test_table_rows(capsys):

@@ -190,7 +190,7 @@ def test_h_oracle_equivalence_small():
 
 def _sweep_ok(d, ts) -> bool:
     evaluator = CompiledTermSum(ts)
-    oracle = bracket_all_signs(d, limit=max(14, d.crossing_count))
+    oracle = bracket_all_signs(d)
     return all(evaluator.evaluate(s) == want for s, want in oracle.items())
 
 

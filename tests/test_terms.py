@@ -20,15 +20,14 @@ from billiardknots.terms import (
     SlotTerm,
     TermSum,
     X_BLOCK,
+    add_all,
     concat,
-    eval_sum,
     expand_block,
     p_prime,
     p_tilde,
     parse_signs,
     product,
     q_block,
-    slot_width,
 )
 
 A = LaurentPoly.monomial
@@ -85,12 +84,12 @@ def test_concat_identity_and_width():
 
 
 def test_slot_width_and_blocks():
-    assert slot_width(H3_BLOCK) == 4
+    assert H3_BLOCK.width == 4
     for i in range(1, 7):
-        assert slot_width(p_prime(i)) == 2 * i
-        assert slot_width(p_tilde(i)) == 2 * i
+        assert p_prime(i).width == 2 * i
+        assert p_tilde(i).width == 2 * i
     for i in range(3, 8):
-        assert slot_width(q_block(i)) == 2 * i
+        assert q_block(i).width == 2 * i
 
 
 def test_expand_block_api():
@@ -132,12 +131,19 @@ def test_eval_errors():
 
 
 def test_term_sum_width_consistency():
-    with pytest.raises(ValueError, match="width"):
-        TermSum([SlotTerm(LaurentPoly.one(), (Factor.APM,)),
-                 SlotTerm(LaurentPoly.one(), (Factor.APM, Factor.APM))])
-    with pytest.raises(ValueError, match="skip"):
-        TermSum([SlotTerm(LaurentPoly.one(), (Factor.SKIP, Factor.APM)),
-                 SlotTerm(LaurentPoly.one(), (Factor.APM, Factor.SKIP))])
+    one = LaurentPoly.one()
+    narrow, wide = SlotTerm(one, (Factor.APM,)), SlotTerm(one, (Factor.APM, Factor.APM))
+    skip_first = SlotTerm(one, (Factor.SKIP, Factor.APM))
+    skip_last = SlotTerm(one, (Factor.APM, Factor.SKIP))
+    builders = [
+        TermSum,
+        lambda terms: add_all(TermSum([t]) for t in terms),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="width"):
+            build([narrow, wide])
+        with pytest.raises(ValueError, match="skip"):
+            build([skip_first, skip_last])
 
 
 def test_scale_and_render():
@@ -154,7 +160,7 @@ def test_compiled_matches_plain_evaluation():
         compiled = CompiledTermSum(ts)
         for _ in range(25):
             signs = tuple(rng.choice((1, -1)) for _ in range(ts.width))
-            assert compiled.evaluate(signs) == eval_sum(ts, signs)
+            assert compiled.evaluate(signs) == ts.evaluate(signs)
 
 
 def test_compiled_exhaustive_small():
