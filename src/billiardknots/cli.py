@@ -52,13 +52,20 @@ def _spec_from_args(args) -> TableSpec:
     return TableSpec.rect(args.a, args.b)
 
 
-def _recursion_terms(spec: TableSpec) -> TermSum:
+def _closed_form(spec: TableSpec) -> TermSum | None:
     for a, bumpers, terms, _ in FAMILIES.values():
         if (spec.a, spec.bumpers) == (a, bumpers):
             return terms(spec.b)
     if (spec.a, spec.b) == (4, 2):
         return BLOCKS["g2"]
-    raise ValueError("no closed-form expansion for this table; use --method oracle")
+    return None
+
+
+def _recursion_terms(spec: TableSpec) -> TermSum:
+    ts = _closed_form(spec)
+    if ts is None:
+        raise ValueError("no closed-form expansion for this table; use --method oracle")
+    return ts
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -89,11 +96,14 @@ def cmd_jones(args) -> int:
     spec = _spec_from_args(args)
     d = BilliardDiagram(spec)
     sd = d.assign_signs(args.signs)
-    value = jones_normalize(bracket_bruteforce(sd), writhe_direct(sd))
+    ts = _closed_form(spec)
+    bracket = bracket_bruteforce(sd) if ts is None else ts.evaluate(args.signs)
+    writhe = writhe_direct(sd)
+    value = jones_normalize(bracket, writhe)
     _emit(
         args,
         value.text(),
-        {"table": spec.label(), "signs": args.signs, "writhe": writhe_direct(sd),
+        {"table": spec.label(), "signs": args.signs, "writhe": writhe,
          "jones": value.json_pairs()},
     )
     return 0

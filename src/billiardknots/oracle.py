@@ -9,10 +9,12 @@ At a crossing whose over strand has slope +1, the A-smoothing joins the
 smoothings swap.  Which strand is on top is set by the crossing's sign
 ('+' puts the NE-sloped strand over), so the pairing applied at crossing c
 in state sigma depends only on sign(c) xor sigma(c).  ``bracket_all_signs``
-exploits that: it tabulates loop counts once per pairing vector and then
-serves every sign assignment from the table.  ``bracket_bruteforce`` stays
-deliberately plain - one union-find per state - since it is the oracle the
-fast paths are judged against.
+exploits that: with pi = sigma xor eps, the bracket of sign vector eps is
+sum_pi delta^(L(pi) - 1) * prod_c A^(+1 if pi_c == eps_c else -1), i.e. the
+2^k loop-count table L pushed through one 2x2 kernel [[A, A^-1], [A^-1, A]]
+per crossing - a butterfly over the sign group, like a Walsh-Hadamard
+transform.  ``bracket_bruteforce`` stays deliberately plain - one union-find
+per state - since it is the oracle the fast paths are judged against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .billiard import NE, NW, SE, SW, BilliardDiagram, SignedDiagram, writhe_direct
 from .laurent import LaurentPoly, QuarterPoly, delta_power, jones_normalize
-from .terms import parse_signs, signs_text
+from .terms import signs_text
 
 #: Port pairs for the two smoothings: index 0 when the NE-sloped strand is
 #: over and the state picks A (or the NW-sloped strand is over and the state
@@ -159,8 +161,10 @@ def bracket_all_signs(
 ) -> dict[str, LaurentPoly]:
     """Brute-force bracket for every sign assignment of the diagram.
 
-    Grouping the state sum by pairing vector reuses each union-find run
-    across all 2^k sign assignments; the tests cross-check this against
+    One union-find run per pairing vector fills the loop table; k butterfly
+    passes over it (one per crossing, two shifted adds along the exponent
+    axis each) then give every sign assignment's bracket at once, keyed and
+    ordered as ``sign_sequences``.  The tests cross-check this against
     per-state ``bracket_bruteforce`` runs.
     """
     k = d.crossing_count
@@ -171,27 +175,33 @@ def bracket_all_signs(
         return {signs_text((None,) * d.slot_count): base}
 
     loops = _loops_table(d)
-    states = np.arange(1 << k, dtype=np.int64)
-    exps = k - 2 * np.array([int(s).bit_count() for s in states], dtype=np.int64)
     max_loops = int(loops.max())
-    out: dict[str, LaurentPoly] = {}
-    for text in sign_sequences(d):
-        signs = [s for s in parse_signs(text) if s is not None]
-        neg_mask = 0
-        for i, s in enumerate(signs):
-            if s == -1:
-                neg_mask |= 1 << i
-        loop_of_state = loops[states ^ neg_mask]
-        total = LaurentPoly.zero()
-        for nloops in range(1, max_loops + 1):
-            sel = exps[loop_of_state == nloops]
-            if not sel.size:
-                continue
-            lo = int(sel.min())
-            counts = np.bincount(sel - lo)
-            poly = LaurentPoly(
-                {lo + i: int(c) for i, c in enumerate(counts) if c}
-            )
-            total = total + poly * delta_power(nloops - 1)
-        out[text] = total
-    return out
+    # After p passes, column j holds the coefficient of A^(2j - 2(max L - 1) - p)
+    # (delta powers have even exponents), so the next pass multiplies by A^+1
+    # with a one-column shift and by A^-1 with none; after all k passes
+    # column j is A^(2j - off).  int64 is exact: every entry is at most
+    # 2^k * 2^(max L - 1) = 2^(k + max L - 1) in magnitude.
+    off = k + 2 * (max_loops - 1)
+    seed = np.zeros((max_loops, off + 1), dtype=np.int64)
+    for n in range(max_loops):
+        for e, c in delta_power(n).terms.items():
+            seed[n, e // 2 + max_loops - 1] = c
+    coef = seed[loops - 1]
+    for c in range(k):
+        pair = coef.reshape(-1, 2, 1 << c, off + 1)
+        p0, p1 = pair[:, 0], pair[:, 1]
+        out = np.empty_like(pair)
+        out[:, 0] = p1
+        out[:, 0, :, 1:] += p0[..., :-1]
+        out[:, 1] = p0
+        out[:, 1, :, 1:] += p1[..., :-1]
+        coef = out.reshape(coef.shape)
+    # Row index has crossing c at bit c; sign_sequences varies crossing 0
+    # slowest, so reverse the bit axes.
+    coef = coef.reshape((2,) * k + (off + 1,))
+    coef = coef.transpose(tuple(reversed(range(k))) + (k,)).reshape(1 << k, off + 1)
+    exps = range(-off, off + 1, 2)
+    return {
+        text: LaurentPoly(dict(zip(exps, row)))
+        for text, row in zip(sign_sequences(d), coef.tolist())
+    }

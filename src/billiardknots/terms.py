@@ -117,16 +117,15 @@ def _scalar_prefix(scalar: LaurentPoly) -> str:
 
 def _as_delta_power(scalar: LaurentPoly) -> tuple[int, int | None]:
     """Decompose scalar as sign * delta^k, or (1, None) when not of that shape."""
-    for k in range(0, 65):
-        dk = delta_power(k)
-        if scalar == dk:
-            return 1, k
-        if scalar == -dk:
-            return -1, k
-        if dk.exponents() and scalar.exponents() and dk.exponents()[0] > abs(
-            max(scalar.exponents()[0], -scalar.exponents()[-1])
-        ):
-            break
+    # delta^k tops out at A^(2k), so the top exponent fixes the only candidate k.
+    top = max(scalar.terms, default=-1)
+    if top < 0 or top % 2:
+        return 1, None
+    dk = delta_power(top // 2)
+    if scalar == dk:
+        return 1, top // 2
+    if scalar == -dk:
+        return -1, top // 2
     return 1, None
 
 

@@ -3,8 +3,10 @@ import time
 
 import pytest
 
+from billiardknots.billiard import diagram, writhe_direct
 from billiardknots.cli import main
-from billiardknots.oracle import SWEEP_LIMIT
+from billiardknots.laurent import jones_normalize
+from billiardknots.oracle import SWEEP_LIMIT, bracket_bruteforce
 
 
 def run(capsys, *argv):
@@ -43,6 +45,26 @@ def test_jones(capsys):
     code, out, _ = run(capsys, "jones", "--a", "3", "--b", "4", "--signs", "+-+")
     assert code == 0
     assert out == "t + t^3 - t^4"
+
+
+def test_jones_closed_form(capsys):
+    # 20 crossings: the closed form answers fast where 2^20 states would not.
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "jones", "--a", "5", "--b", "11",
+                     "--signs", "++--++--++--++--++--")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    # a=4, b=3 has no closed form and falls back to the state sum.
+    for a, b, bumpers, signs in [(5, 4, 0, "++--+-"), (5, 4, 1, "+-+--+"),
+                                 (5, 4, 2, "+-++_-"), (4, 3, 0, "+-+")]:
+        code, out, _ = run(capsys, "--json", "jones", "--a", str(a), "--b", str(b),
+                           "--bumpers", str(bumpers), "--signs", signs)
+        assert code == 0
+        data = json.loads(out)
+        sd = diagram(a, b, bumpers=bumpers).assign_signs(signs)
+        writhe = writhe_direct(sd)
+        assert data["writhe"] == writhe
+        assert data["jones"] == jones_normalize(bracket_bruteforce(sd), writhe).json_pairs()
 
 
 def test_json_output(capsys):

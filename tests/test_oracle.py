@@ -100,16 +100,39 @@ def test_crossing_limit():
 
 
 def test_all_signs_matches_bruteforce():
-    for a, b, bump in [(3, 5, 0), (5, 3, 0), (5, 4, 2), (5, 4, 1), (3, 6, 0)]:
+    cases = [(3, 5, 0), (5, 3, 0), (5, 4, 2), (5, 4, 1), (3, 6, 0),
+             (3, 8, 0), (4, 4, 0), (5, 5, 0), (5, 5, 1), (5, 6, 2)]
+    for a, b, bump in cases:
         d = diagram(a, b, bumpers=bump)
         table = bracket_all_signs(d)
+        assert len(table) == 1 << d.crossing_count
         for s in sign_sequences(d):
             assert table[s] == bracket_bruteforce(d.assign_signs(s))
+
+
+def test_all_signs_sampled_at_sweep_limit():
+    d = diagram(5, 8)
+    assert d.crossing_count == 14
+    table = bracket_all_signs(d)
+    rng = random.Random(14)
+    for s in rng.sample(list(table), 20):
+        assert table[s] == bracket_bruteforce(d.assign_signs(s))
+
+
+def test_all_signs_mirror():
+    for a, b, bump in [(5, 5, 0), (5, 6, 2), (3, 10, 0)]:
+        table = bracket_all_signs(diagram(a, b, bumpers=bump))
+        for s, value in table.items():
+            flipped = s.replace("+", "x").replace("-", "+").replace("x", "-")
+            assert table[flipped] == value.mirror()
 
 
 def test_all_signs_iteration_order_deterministic():
     keys = list(bracket_all_signs(diagram(5, 2)))
     assert keys == ["++", "+-", "-+", "--"]
+    d = diagram(5, 6, bumpers=2)
+    assert d.skip_positions and d.crossing_count >= 3
+    assert list(bracket_all_signs(d)) == list(sign_sequences(d))
 
 
 def test_jones_values():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from billiardknots.laurent import DELTA, LaurentPoly
+from billiardknots.laurent import DELTA, LaurentPoly, delta_power
 from billiardknots.terms import (
     AMP,
     APM,
@@ -20,6 +20,7 @@ from billiardknots.terms import (
     SlotTerm,
     TermSum,
     X_BLOCK,
+    _as_delta_power,
     add_all,
     concat,
     expand_block,
@@ -168,3 +169,15 @@ def test_compiled_exhaustive_small():
     compiled = CompiledTermSum(ts)
     for combo in itertools.product((1, -1), repeat=4):
         assert compiled.evaluate(combo) == ts.evaluate(combo)
+
+
+def test_delta_power_decomposition_past_64():
+    d70 = delta_power(70)
+    assert _as_delta_power(d70) == (1, 70)
+    assert _as_delta_power(-d70) == (-1, 70)
+    assert _as_delta_power(LaurentPoly.one()) == (1, 0)
+    for scalar in (A(2), A(140), d70 + 1, d70 * 2, LaurentPoly.zero(), A(-2)):
+        assert _as_delta_power(scalar) == (1, None)
+    scaled = H2_BLOCK.scale(-d70)
+    assert scaled.render().startswith("-δ^70(A^±,A^±)")
+    assert CompiledTermSum(scaled).evaluate("+-") == scaled.evaluate("+-")
