@@ -38,7 +38,6 @@ from .terms import (
     Factor,
     SlotTerm,
     TermSum,
-    concat,
     expand_block,
     parse_signs,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "bt_terms",
     "coefficient_string",
     "compositions",
-    "concat",
     "count_domino_tilings",
     "count_f_terms",
     "count_h_skeletons",

@@ -25,7 +25,19 @@ Closures add no crossings.  Open strands of rectangular and two-bumper
 tables each close onto themselves (the long-knot closure at infinity).
 One-bumper tables are 2-tangles; their four strand ends are paired by
 position: for odd b, (0,0) with (b-1,0) and (b,1) with (b,a); for even b,
-(0,0) with (b-1,a) and (b,0) with (b,a-1).
+(0,0) with (b-1,a) and (b,0) with (b,a-1).  A table whose closure cannot
+avoid a crossing (T(4,b) with b = 4 mod 8: the two open strands' ends
+interleave on the boundary) fails the Euler planarity check and is rejected
+with ValueError.
+
+Each component is traced in one oriented walk.  Open components start at
+the lowest pocket not yet reached and chain strands through the closure,
+each strand walked from the pocket its closure arc arrives at; closed
+strands then start at their lowest vertex, leaving in the larger direction.
+That walk is the single orientation of the diagram: the writhe, the PD and
+Gauss codes and the arc ids all follow it.  Arcs are numbered along the
+oriented components, so a component's pass j leaves on arc offset + j and
+that arc enters its pass j + 1.
 """
 
 from __future__ import annotations
@@ -121,7 +133,7 @@ class Crossing:
     x: int
     y: int
     arcs: list[int] = field(default_factory=lambda: [-1, -1, -1, -1])
-    # Traversal direction of the slope +1 and slope -1 passages.
+    # Direction of the slope +1 and slope -1 passes along their components.
     dir_plus: Dir = (1, 1)
     dir_minus: Dir = (1, -1)
 
@@ -147,6 +159,11 @@ class BilliardDiagram:
     def __init__(self, spec: TableSpec):
         self.spec = spec
         self._trace()
+        if not self.euler_check():
+            raise ValueError(
+                f"{spec.label()} has no planar closure: its strand ends "
+                "interleave on the boundary"
+            )
 
     # -- construction -------------------------------------------------
 
@@ -154,8 +171,7 @@ class BilliardDiagram:
         a, b = self.spec.a, self.spec.b
         removed = self.spec.removed_squares()
 
-        steps: set[tuple[Vertex, Vertex]] = set()
-        incidence: dict[Vertex, list[tuple[Vertex, Vertex]]] = {}
+        nbrs: dict[Vertex, list[Vertex]] = {}
         for i in range(b):
             for j in range(a):
                 if (i, j) in removed:
@@ -164,74 +180,92 @@ class BilliardDiagram:
                     v, w = (i, j), (i + 1, j + 1)
                 else:
                     v, w = (i, j + 1), (i + 1, j)
-                steps.add((v, w))
-                incidence.setdefault(v, []).append((v, w))
-                incidence.setdefault(w, []).append((v, w))
+                nbrs.setdefault(v, []).append(w)
+                nbrs.setdefault(w, []).append(v)
+        for v, ns in nbrs.items():
+            if len(ns) not in (1, 2, 4):
+                raise AssertionError(f"vertex {v} has degree {len(ns)}")
 
-        for v, inc in incidence.items():
-            if len(inc) not in (1, 2, 4):
-                raise AssertionError(f"vertex {v} has degree {len(inc)}")
-
+        # A step is a unit diagonal, keyed by its endpoints in sorted order.
+        steps = {(v, w) for v, ns in nbrs.items() for w in ns if v < w}
         used: set[tuple[Vertex, Vertex]] = set()
 
-        def walk(v0: Vertex, d0: Dir) -> dict:
+        def walk(v: Vertex, d: Dir) -> tuple[Optional[Vertex], list[tuple[Vertex, Dir]]]:
+            """Follow the strand leaving v in direction d to a pocket (returned)
+            or back onto its first step (None), listing its crossing passes."""
             passes: list[tuple[Vertex, Dir]] = []
-            v, d = v0, d0
-            first: Optional[tuple[Vertex, Vertex]] = None
             while True:
                 w = (v[0] + d[0], v[1] + d[1])
-                step = (v, w) if (v, w) in steps else (w, v)
-                if step == first:
-                    return {"open": False, "start": v0, "passes": passes}
-                if first is None:
-                    first = step
+                step = (v, w) if v < w else (w, v)
+                if step in used:
+                    return None, passes
                 used.add(step)
-                inc = incidence[w]
-                if len(inc) == 4:
+                ns = nbrs[w]
+                if len(ns) == 4:
                     passes.append((w, d))
-                    v = w
-                elif len(inc) == 2:
-                    other = inc[1] if inc[0] == step else inc[0]
-                    u = other[1] if other[0] == w else other[0]
+                elif len(ns) == 2:
+                    u = ns[0] if ns[1] == v else ns[1]
                     d = (u[0] - w[0], u[1] - w[1])
-                    v = w
                 else:
-                    return {"open": True, "start": v0, "end": w, "passes": passes}
+                    return w, passes
+                v = w
 
-        trajectories: list[dict] = []
-        pockets = sorted(v for v, inc in incidence.items() if len(inc) == 1)
+        # Open components: strands chained pocket to pocket through the
+        # closure, each entered at the pocket the previous closure arc reaches.
+        pockets = sorted(v for v, ns in nbrs.items() if len(ns) == 1)
+        partner = self._tangle_partners(pockets)
+        comps: list[list[tuple[Vertex, Dir]]] = []
+        closures: list[tuple[Vertex, Vertex]] = []
         for p in pockets:
-            (v, w) = incidence[p][0]
-            if (v, w) in used:
+            if any(p in pair for pair in closures):
                 continue
-            other = w if v == p else v
-            trajectories.append(walk(p, (other[0] - p[0], other[1] - p[1])))
+            passes: list[tuple[Vertex, Dir]] = []
+            q = p
+            while True:
+                (u,) = nbrs[q]
+                end, seg = walk(q, (u[0] - q[0], u[1] - q[1]))
+                passes.extend(seg)
+                r = partner.get(end, q)
+                closures.append((end, r) if end < r else (r, end))
+                if r == p:
+                    break
+                q = r
+            comps.append(passes)
+        # Closed strands, each from its lowest vertex in the larger direction.
         while len(used) < len(steps):
-            v0 = min(v for s in steps - used for v in s)
-            dirs = sorted(
-                (
-                    (w[0] - v0[0], w[1] - v0[1])
-                    for s in incidence[v0]
-                    if s not in used
-                    for w in s
-                    if w != v0
-                ),
-                reverse=True,
+            v0 = min(steps - used)[0]
+            d0 = max(
+                (w[0] - v0[0], w[1] - v0[1])
+                for w in nbrs[v0]
+                if ((v0, w) if v0 < w else (w, v0)) not in used
             )
-            trajectories.append(walk(v0, dirs[0]))
-        self._trajectories = trajectories
+            comps.append(walk(v0, d0)[1])
+        self._closures = sorted(closures)
 
         # Crossings, canonically ordered.
-        cross_pos = sorted(v for v, inc in incidence.items() if len(inc) == 4)
+        cross_pos = sorted(v for v, ns in nbrs.items() if len(ns) == 4)
         self.crossings = [Crossing(i, x, y) for i, (x, y) in enumerate(cross_pos)]
-        index_of = {c.position: c.index for c in self.crossings}
-        for t in trajectories:
-            for pos, d in t["passes"]:
-                c = self.crossings[index_of[pos]]
+        self._index_of = {c.position: c.index for c in self.crossings}
+
+        # Arcs numbered along the oriented components: pass j's out-port
+        # starts arc offset + j, which ends at pass j+1's in-port.
+        self._components = [comp for comp in comps if comp]
+        self.free_loops = len(comps) - len(self._components)
+        offset = 0
+        for comp in self._components:
+            m = len(comp)
+            for j, (pos, d) in enumerate(comp):
+                c = self.crossings[self._index_of[pos]]
                 if _slope(d) == 1:
                     c.dir_plus = d
                 else:
                     c.dir_minus = d
+                c.arcs[_PORT_OF_DIR[(-d[0], -d[1])]] = offset + (j - 1) % m
+                c.arcs[_PORT_OF_DIR[d]] = offset + j
+            offset += m
+        self.arc_count = offset
+        if any(arc < 0 for c in self.crossings for arc in c.arcs):
+            raise AssertionError("unwired crossing port")
 
         # Slot grid of the full rectangle; interior missing crossings become
         # skips, trailing ones are dropped.
@@ -241,6 +275,7 @@ class BilliardDiagram:
             for y in range(1, a)
             if (x + y) % 2 == 0
         )
+        index_of = self._index_of
         slots = [Slot(x, y, (x, y) in index_of, index_of.get((x, y), -1)) for x, y in grid]
         while slots and not slots[-1].real:
             slots.pop()
@@ -249,147 +284,22 @@ class BilliardDiagram:
         if sum(s.real for s in slots) != len(self.crossings):
             raise AssertionError("crossing off the slot grid")
 
-        self._assemble_arcs()
-
-    def _closure_bonds(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Pairs of (trajectory, side) terminals joined by closure arcs."""
-        open_ids = [i for i, t in enumerate(self._trajectories) if t["open"]]
-        if self.spec.bumpers == 1 and len(open_ids) == 2:
-            a, b = self.spec.a, self.spec.b
-            if b % 2 == 1:
-                pairs = [{(0, 0), (b - 1, 0)}, {(b, 1), (b, a)}]
-            else:
-                pairs = [{(0, 0), (b - 1, a)}, {(b, 0), (b, a - 1)}]
-            ends = {}
-            for i in open_ids:
-                t = self._trajectories[i]
-                ends[t["start"]] = (i, 0)
-                ends[t["end"]] = (i, 1)
-            bonds = []
-            for pair in pairs:
-                if not pair <= set(ends):
-                    raise AssertionError(f"unexpected tangle ends {sorted(ends)}")
-                u, v = sorted(pair)
-                bonds.append((ends[u], ends[v]))
-            return bonds
-        return [((i, 0), (i, 1)) for i in open_ids]
-
-    def _assemble_arcs(self) -> None:
-        index_of = {c.position: c.index for c in self.crossings}
-        subarcs: list[list] = []  # endpoints: ("P", crossing, port) or ("T", traj, side)
-        terminal_at: dict[tuple[int, int], tuple[int, int]] = {}
-
-        def port_end(pos: Vertex, d: Dir, incoming: bool):
-            p = _PORT_OF_DIR[(-d[0], -d[1])] if incoming else _PORT_OF_DIR[d]
-            return ("P", index_of[pos], p)
-
-        free_loops = 0
-        for ti, t in enumerate(self._trajectories):
-            passes = t["passes"]
-            if not passes:
-                if t["open"]:
-                    terminal_at[(ti, 0)] = (len(subarcs), 0)
-                    terminal_at[(ti, 1)] = (len(subarcs), 1)
-                    subarcs.append([("T", ti, 0), ("T", ti, 1)])
-                else:
-                    free_loops += 1
-                continue
-            points = []
-            if t["open"]:
-                points.append(("T", ti, 0))
-            for pos, d in passes:
-                points.append(port_end(pos, d, incoming=True))
-                points.append(port_end(pos, d, incoming=False))
-            if t["open"]:
-                points.append(("T", ti, 1))
-                chain = list(zip(points[0::2], points[1::2]))
-            else:
-                outs = points[1::2]
-                ins = points[0::2]
-                chain = list(zip(outs, ins[1:] + ins[:1]))
-            for end_a, end_b in chain:
-                for side, end in ((0, end_a), (1, end_b)):
-                    if end[0] == "T":
-                        terminal_at[(end[1], end[2])] = (len(subarcs), side)
-                subarcs.append([end_a, end_b])
-
-        self._closures = self._closure_bonds()
-        bonds: dict[tuple[int, int], tuple[int, int]] = {}
-        for t1, t2 in self._closures:
-            bonds[t1] = t2
-            bonds[t2] = t1
-
-        # Stitch sub-arcs through terminal bonds into final arcs.
-        arc_of_port: dict[tuple[int, int], int] = {}
-        arcs: list[tuple] = []
-        visited: set[tuple[int, int]] = set()  # (subarc, side) consumed
-        for si, sa in enumerate(subarcs):
-            for side in (0, 1):
-                if (si, side) in visited or sa[side][0] != "P":
-                    continue
-                start = sa[side]
-                cur, cside = si, side
-                while True:
-                    visited.add((cur, cside))
-                    far = 1 - cside
-                    visited.add((cur, far))
-                    end = subarcs[cur][far]
-                    if end[0] == "P":
-                        break
-                    partner = bonds[(end[1], end[2])]
-                    cur, cside = terminal_at[partner]
-                arc_id = len(arcs)
-                arcs.append((start, end))
-                arc_of_port[(start[1], start[2])] = arc_id
-                arc_of_port[(end[1], end[2])] = arc_id
-        # Terminal-only cycles left unvisited are crossing-free closed curves.
-        seen_cycles = set()
-        for si, sa in enumerate(subarcs):
-            if (si, 0) in visited or sa[0][0] == "P" or si in seen_cycles:
-                continue
-            cur = si
-            while cur not in seen_cycles:
-                seen_cycles.add(cur)
-                end = subarcs[cur][1]
-                partner = bonds[(end[1], end[2])]
-                cur = terminal_at[partner][0]
-            free_loops += 1
-
-        self.arc_count = len(arcs)
-        self.free_loops = free_loops
-        for (cross, port), arc in arc_of_port.items():
-            self.crossings[cross].arcs[port] = arc
-        if any(arc < 0 for c in self.crossings for arc in c.arcs):
-            raise AssertionError("unwired crossing port")
-        self._components = self._component_passes(bonds)
-
-    def _component_passes(self, bonds) -> list[list[tuple[Vertex, Dir]]]:
-        """Cyclic passage lists per closed component with at least one
-        crossing, oriented by traversal of the lowest constituent strand."""
-        comps: list[list[tuple[Vertex, Dir]]] = []
-        done: set[int] = set()
-        for ti, t in enumerate(self._trajectories):
-            if ti in done:
-                continue
-            done.add(ti)
-            if not t["open"]:
-                if t["passes"]:
-                    comps.append(list(t["passes"]))
-                continue
-            passes: list[tuple[Vertex, Dir]] = list(t["passes"])
-            nxt, side = bonds[(ti, 1)]
-            while nxt != ti:
-                done.add(nxt)
-                seq = self._trajectories[nxt]["passes"]
-                if side == 0:
-                    passes.extend(seq)
-                    nxt, side = bonds[(nxt, 1)]
-                else:
-                    passes.extend((pos, (-d[0], -d[1])) for pos, d in reversed(seq))
-                    nxt, side = bonds[(nxt, 0)]
-            if passes:
-                comps.append(passes)
-        return comps
+    def _tangle_partners(self, pockets: list[Vertex]) -> dict[Vertex, Vertex]:
+        """Closure partner of each pocket of a one-bumper 2-tangle; empty
+        when every open strand closes onto itself."""
+        if self.spec.bumpers != 1 or len(pockets) != 4:
+            return {}
+        a, b = self.spec.a, self.spec.b
+        if b % 2 == 1:
+            pairs = [((0, 0), (b - 1, 0)), ((b, 1), (b, a))]
+        else:
+            pairs = [((0, 0), (b - 1, a)), ((b, 0), (b, a - 1))]
+        partner = {}
+        for u, v in pairs:
+            if u not in pockets or v not in pockets:
+                raise AssertionError(f"unexpected tangle ends {pockets}")
+            partner[u], partner[v] = v, u
+        return partner
 
     # -- public surface ------------------------------------------------
 
@@ -454,7 +364,7 @@ class BilliardDiagram:
 
     def json_dump(self) -> str:
         data = {
-            "schema": 1,
+            "schema": 2,
             "table": self.spec.label(),
             "a": self.spec.a,
             "b": self.spec.b,
@@ -477,7 +387,7 @@ class BilliardDiagram:
                 [[list(pos), list(d)] for pos, d in comp] for comp in self._components
             ],
             "free_loops": self.free_loops,
-            "closures": [list(map(list, bond)) for bond in self._closures],
+            "closures": [[list(p), list(q)] for p, q in self._closures],
         }
         return json.dumps(data, sort_keys=True)
 
@@ -505,13 +415,16 @@ class SignedDiagram:
     def signs_text(self) -> str:
         return signs_text(self.signs)
 
-    def crossing_sign(self, index: int) -> int:
-        """Writhe contribution of crossing ``index`` under trajectory orientation."""
+    def _over_under(self, index: int) -> tuple[Dir, Dir]:
+        """Oriented directions of the over and under passes of a crossing."""
         c = self.diagram.crossings[index]
         if self.crossing_signs[index] == 1:
-            over, under = c.dir_plus, c.dir_minus
-        else:
-            over, under = c.dir_minus, c.dir_plus
+            return c.dir_plus, c.dir_minus
+        return c.dir_minus, c.dir_plus
+
+    def crossing_sign(self, index: int) -> int:
+        """Writhe contribution of crossing ``index`` under the component orientation."""
+        over, under = self._over_under(index)
         return 1 if over[0] * under[1] - over[1] * under[0] > 0 else -1
 
     def writhe(self) -> int:
@@ -521,66 +434,31 @@ class SignedDiagram:
         """Whether the strand of the given slope is the over strand."""
         return (self.crossing_signs[index] == 1) == (slope == 1)
 
-    def _arc_labels(self) -> tuple[dict[tuple[int, int], int], list[list[tuple]]]:
-        """Label arcs 1..2k along each component's orientation."""
-        d = self.diagram
-        index_of = {c.position: c.index for c in d.crossings}
-        labels: dict[tuple[int, int], int] = {}
-        comps = []
-        offset = 0
-        for comp in d._components:
-            entries = []
-            m = len(comp)
-            for j, (pos, dirn) in enumerate(comp):
-                ci = index_of[pos]
-                out_port = _PORT_OF_DIR[dirn]
-                arc = d.crossings[ci].arcs[out_port]
-                labels[(ci, out_port)] = offset + j + 1
-                in_port = _PORT_OF_DIR[(-dirn[0], -dirn[1])]
-                entries.append((ci, dirn, in_port, out_port, arc))
-            comps.append(entries)
-            offset += m
-        # Incoming ports share the label of the arc that leaves the previous
-        # crossing; resolve via the shared arc ids.
-        arc_label: dict[int, int] = {}
-        for comp in comps:
-            for ci, dirn, in_port, out_port, arc in comp:
-                arc_label[self.diagram.crossings[ci].arcs[out_port]] = labels[
-                    (ci, out_port)
-                ]
-        return arc_label, comps
-
     def pd_code(self) -> str:
         """Planar-diagram code: per crossing, arcs counterclockwise from the
         incoming under-strand.  Crossing-free components appear as ``U``."""
         d = self.diagram
-        arc_label, comps = self._arc_labels()
-        tuples = [None] * len(d.crossings)
-        for comp in comps:
-            for ci, dirn, in_port, out_port, arc in comp:
-                under_here = not self.is_over(ci, _slope(dirn))
-                if under_here:
-                    ports = [(in_port + k) % 4 for k in range(4)]
-                    tuples[ci] = "X[{},{},{},{}]".format(
-                        *(arc_label[d.crossings[ci].arcs[p]] for p in ports)
-                    )
-        body = [t for t in tuples if t]
+        body = []
+        for c in d.crossings:
+            under = self._over_under(c.index)[1]
+            in_port = _PORT_OF_DIR[(-under[0], -under[1])]
+            labels = (c.arcs[(in_port + k) % 4] + 1 for k in range(4))
+            body.append("X[{},{},{},{}]".format(*labels))
         body.extend(["U"] * d.free_loops)
         return "PD[" + ", ".join(body) + "]"
 
     def gauss_code(self) -> str:
         """Extended Gauss code per component: O/U + crossing number + sign."""
         d = self.diagram
-        index_of = {c.position: c.index for c in d.crossings}
         parts = []
         for comp in d._components:
             toks = []
             for pos, dirn in comp:
-                ci = index_of[pos]
+                ci = d._index_of[pos]
                 over = self.is_over(ci, _slope(dirn))
                 sign = "+" if self.crossing_sign(ci) > 0 else "-"
                 toks.append(f"{'O' if over else 'U'}{ci + 1}{sign}")
-            parts.append(" ".join(toks) if toks else "U")
+            parts.append(" ".join(toks))
         parts.extend(["U"] * d.free_loops)
         return "; ".join(parts)
 
@@ -592,5 +470,5 @@ def diagram(a: int, b: int, bumpers: int = 0) -> BilliardDiagram:
 
 
 def writhe_direct(sd: SignedDiagram) -> int:
-    """Sum of oriented crossing signs under the trajectory orientation."""
+    """Sum of oriented crossing signs under the component orientation."""
     return sd.writhe()

@@ -12,7 +12,7 @@ import time
 
 from .billiard import BilliardDiagram, TableSpec, diagram, writhe_direct
 from .laurent import coefficient_string, jones_normalize
-from .oracle import SWEEP_LIMIT, bracket_all_signs, bracket_bruteforce
+from .oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_all_signs, bracket_bruteforce
 from .recursions import (
     b_summands,
     b_terms,
@@ -213,11 +213,15 @@ def cmd_table(args) -> int:
 def cmd_bench(args) -> int:
     spec = _spec_from_args(args)
     d = BilliardDiagram(spec)
+    k = d.crossing_count
+    if k > ORACLE_LIMIT:
+        raise ValueError(
+            f"{spec.label()} has {k} crossings, over the oracle limit {ORACLE_LIMIT}"
+        )
     signs = "".join(
         "_" if i in d.skip_positions else "++--"[i % 4] for i in range(d.slot_count)
     )
     sd = d.assign_signs(signs)
-    k = d.crossing_count
 
     t0 = time.perf_counter()
     ts = _recursion_terms(spec)

@@ -34,6 +34,10 @@ from .terms import signs_text
 _PAIRING_V = ((SE, NE), (NW, SW))
 _PAIRING_H = ((NE, NW), (SW, SE))
 
+#: Default crossing-count limit of ``bracket_bruteforce``: one union-find run
+#: per state, 2^k states.
+ORACLE_LIMIT = 24
+
 #: Default crossing-count limit of ``bracket_all_signs``: the sweep holds a
 #: 2^k loop table and serves 2^k sign assignments from it.
 SWEEP_LIMIT = 14
@@ -67,7 +71,7 @@ def _loops(pairs: Sequence[tuple[int, int]], n_arcs: int) -> int:
 
 def bracket_bruteforce(
     sd: SignedDiagram,
-    limit: int = 24,
+    limit: int = ORACLE_LIMIT,
     order: Optional[Sequence[int]] = None,
 ) -> LaurentPoly:
     """Kauffman bracket by summing all 2^k smoothing states.
@@ -127,7 +131,7 @@ def bracket_bruteforce(
     return total
 
 
-def jones(sd: SignedDiagram, limit: int = 24) -> QuarterPoly:
+def jones(sd: SignedDiagram, limit: int = ORACLE_LIMIT) -> QuarterPoly:
     """Jones polynomial: writhe-normalized bracket with A = t^(-1/4)."""
     return jones_normalize(bracket_bruteforce(sd, limit), writhe_direct(sd))
 

@@ -40,7 +40,6 @@ from .terms import (
     SignSeq,
     TermSum,
     add_all,
-    concat,
     p_prime,
     p_tilde,
     parse_signs,
@@ -235,8 +234,8 @@ def skeletons_json(b: int) -> list[dict]:
 
 def _skeleton_sum(sk: HSkeleton, q_fn: Callable[[int], TermSum]) -> TermSum:
     head = add_all((
-        concat(BLOCKS["h3"], p_tilde(sk.i - 2)),
-        concat(BLOCKS["h2"], p_prime(sk.i - 1)),
+        product(BLOCKS["h3"], p_tilde(sk.i - 2)),
+        product(BLOCKS["h2"], p_prime(sk.i - 1)),
         q_fn(sk.i),
     ))
     blocks = [head]

@@ -216,11 +216,6 @@ def add_all(parts: Iterable[TermSum]) -> TermSum:
     return TermSum(terms, width)
 
 
-def concat(prefix: TermSum, suffix: TermSum) -> TermSum:
-    """Distributive juxtaposition: every prefix term times every suffix term."""
-    return product(prefix, suffix)
-
-
 def product(*sums: TermSum) -> TermSum:
     """Juxtaposition of any number of term sums, validated once at the end."""
     terms = EMPTY.terms

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 
 import pytest
@@ -10,7 +11,7 @@ from billiardknots.billiard import (
     diagram,
     writhe_direct,
 )
-from billiardknots.laurent import LaurentPoly, delta_power
+from billiardknots.laurent import LaurentPoly, delta_power, jones_normalize
 from billiardknots.oracle import bracket_bruteforce
 
 
@@ -151,10 +152,16 @@ def test_writhe_examples():
 
 
 def test_euler_planarity():
-    for spec in [(3, 5, 0), (3, 8, 0), (5, 4, 0), (5, 6, 0), (5, 5, 0),
-                 (5, 6, 2), (5, 7, 2), (5, 6, 1), (5, 7, 1), (4, 3, 0)]:
-        a, b, bump = spec
-        assert diagram(a, b, bumpers=bump).euler_check(), spec
+    # T(4, b) with b = 4 (mod 8) leaves the two open strands' ends
+    # interleaved on the boundary, so no crossing-free closure exists.
+    specs = [(a, b, 0) for a in (3, 4, 5) for b in range(1, 33)]
+    specs += [(5, n, bump) for bump in (1, 2) for n in range(1, 33)]
+    for a, b, bump in specs:
+        if a == 4 and b % 8 == 4:
+            with pytest.raises(ValueError, match=rf"T\(4,{b}\) has no planar closure"):
+                diagram(a, b, bumpers=bump)
+        else:
+            assert diagram(a, b, bumpers=bump).euler_check(), (a, b, bump)
 
 
 def test_pd_trefoil_matches_independent_evaluator():
@@ -196,7 +203,50 @@ def test_pd_deterministic():
 def test_json_dump():
     d = diagram(5, 4, bumpers=2)
     data = json.loads(d.json_dump())
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["table"] == "B_2(5,4)"
     assert [s["skipped"] for s in data["slots"]].count(True) == 1
     assert len(data["crossings"]) == d.crossing_count
+    assert data["closures"] == [[[0, 0], [4, 2]]]
+    # One-bumper tangle ends pair by position (b odd: bottom pair, right pair).
+    tangle = json.loads(diagram(5, 3, bumpers=1).json_dump())
+    assert tangle["closures"] == [[[0, 0], [2, 0]], [[3, 1], [3, 5]]]
+
+
+def _omega_value(v) -> tuple[int, int]:
+    """V(omega) = x + y*omega in Z[omega], omega = e^(2 pi i/3), for an
+    integral Jones polynomial: t-exponents fold mod 3, omega^2 = -1 - omega."""
+    x = y = 0
+    for n, c in v.numers.items():
+        r = (n // 4) % 3
+        if r == 0:
+            x += c
+        elif r == 1:
+            y += c
+        else:
+            x, y = x - c, y - c
+    return x, y
+
+
+def test_knot_jones_invariants():
+    # Knot Jones polynomials have integer exponents and V(omega) = 1; both
+    # fail when a crossing's writhe sign disagrees with its component's
+    # orientation (as it did on one-bumper tangles).
+    specs = [(a, b, 0) for a in (3, 4, 5) for b in range(1, 13) if not (a == 4 and b % 8 == 4)]
+    specs += [(5, n, bump) for bump in (1, 2) for n in range(1, 13)]
+    rng = random.Random(2024)
+    checked = set()
+    for a, b, bump in specs:
+        d = diagram(a, b, bumpers=bump)
+        if d.component_count() != 1 or d.crossing_count > 14:
+            continue
+        checked.add(d.spec.label())
+        for _ in range(10):
+            signs = "".join(
+                "_" if i in d.skip_positions else rng.choice("+-") for i in range(d.slot_count)
+            )
+            sd = d.assign_signs(signs)
+            v = jones_normalize(bracket_bruteforce(sd), writhe_direct(sd))
+            assert v.is_integral(), (d.spec.label(), signs)
+            assert _omega_value(v) == (1, 0), (d.spec.label(), signs)
+    assert {"B_1(5,3)", "B^1(5,4)", "B^1(5,8)"} <= checked

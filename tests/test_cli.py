@@ -6,7 +6,7 @@ import pytest
 from billiardknots.billiard import diagram, writhe_direct
 from billiardknots.cli import main
 from billiardknots.laurent import jones_normalize
-from billiardknots.oracle import SWEEP_LIMIT, bracket_bruteforce
+from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
 
 
 def run(capsys, *argv):
@@ -102,6 +102,21 @@ def test_verify_over_sweep_limit_exit_2(capsys):
     assert time.perf_counter() - start < 5
     assert code == 2
     assert "16 crossings" in err and f"sweep limit {SWEEP_LIMIT}" in err
+
+
+def test_bench_over_oracle_limit_exit_2(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "bench", "--b", "14")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "26 crossings" in err and f"oracle limit {ORACLE_LIMIT}" in err
+
+
+def test_non_planar_table_exit_2(capsys):
+    code, _, err = run(capsys, "bracket", "--a", "4", "--b", "4", "--signs", "+-+-+",
+                       "--method", "oracle")
+    assert code == 2
+    assert "T(4,4) has no planar closure" in err
 
 
 def test_table_rows(capsys):

@@ -248,14 +248,14 @@ def test_prime_even_block_flavor_resolution():
 
     # Rebuild width-6 skeletons with the N-flavored prime-even blocks.
     from billiardknots.recursions import HSkeleton
-    from billiardknots.terms import concat, product
+    from billiardknots.terms import product
 
     def custom_h6():
         total = None
         for sk in h_skeletons(6):
             head = (
-                concat(T.H3_BLOCK, T.p_tilde(sk.i - 2))
-                + concat(T.H2_BLOCK, p_prime_with_n(sk.i - 1))
+                product(T.H3_BLOCK, T.p_tilde(sk.i - 2))
+                + product(T.H2_BLOCK, p_prime_with_n(sk.i - 1))
                 + T.q_block(sk.i)
             )
             blocks = [head]

@@ -22,7 +22,6 @@ from billiardknots.terms import (
     X_BLOCK,
     _as_delta_power,
     add_all,
-    concat,
     expand_block,
     p_prime,
     p_tilde,
@@ -72,13 +71,13 @@ def test_f3_cases():
 
 
 def test_concat_f3_c():
-    both = concat(F3_BLOCK, C_BLOCK)
+    both = product(F3_BLOCK, C_BLOCK)
     assert both.width == 4
     assert len(both.terms) == 4
 
 
 def test_concat_identity_and_width():
-    assert concat(EMPTY, H2_BLOCK).canonical() == H2_BLOCK.canonical()
+    assert product(EMPTY, H2_BLOCK).canonical() == H2_BLOCK.canonical()
     triple = product(H2_BLOCK, APM, APM)
     assert triple.width == 4
     assert len(triple.terms) == 4

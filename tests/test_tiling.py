@@ -1,7 +1,7 @@
 import pytest
 
 from billiardknots.recursions import count_f_terms, f_terms
-from billiardknots.terms import APM, F3_BLOCK, concat
+from billiardknots.terms import APM, F3_BLOCK, product
 from billiardknots.tiling import (
     count_domino_tilings,
     enumerate_term_tilings,
@@ -60,7 +60,7 @@ def test_rendered_tile_lists():
 
 
 def test_dictionary_on_base_tiles():
-    assert tiling_to_term(("S2", "V")).canonical() == concat(F3_BLOCK, APM).canonical()
+    assert tiling_to_term(("S2", "V")).canonical() == product(F3_BLOCK, APM).canonical()
     one = tiling_to_term(("S1", "H"))
     assert one.width == 3 and len(one.terms) == 1
 
