@@ -28,6 +28,7 @@ from .recursions import (
     compositions,
     count_f_terms,
     count_h_skeletons,
+    expand_block,
     f_terms,
     h_terms,
     padovan,
@@ -38,7 +39,6 @@ from .terms import (
     Factor,
     SlotTerm,
     TermSum,
-    expand_block,
     parse_signs,
 )
 from .tiling import count_domino_tilings, enumerate_term_tilings, tiling_to_term

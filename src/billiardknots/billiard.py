@@ -464,9 +464,9 @@ class SignedDiagram:
 
 
 def diagram(a: int, b: int, bumpers: int = 0) -> BilliardDiagram:
-    """Convenience builder; picks the bumper side automatically."""
-    spec = TableSpec.rect(a, b) if not bumpers else TableSpec.bumpered(b, bumpers)
-    return BilliardDiagram(spec)
+    """Convenience builder; picks the bumper side by the parity rule."""
+    side = _required_side(bumpers, b) if bumpers else None
+    return BilliardDiagram(TableSpec(a, b, bumpers, side))
 
 
 def writhe_direct(sd: SignedDiagram) -> int:

@@ -10,7 +10,7 @@ import json
 import sys
 import time
 
-from .billiard import BilliardDiagram, TableSpec, diagram, writhe_direct
+from .billiard import TableSpec, diagram, writhe_direct
 from .laurent import coefficient_string, jones_normalize
 from .oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_all_signs, bracket_bruteforce
 from .recursions import (
@@ -45,13 +45,6 @@ FAMILIES = {
 }
 
 
-def _spec_from_args(args) -> TableSpec:
-    bumpers = getattr(args, "bumpers", 0) or 0
-    if bumpers:
-        return TableSpec.bumpered(args.b, bumpers)
-    return TableSpec.rect(args.a, args.b)
-
-
 def _closed_form(spec: TableSpec) -> TermSum | None:
     for a, bumpers, terms, _ in FAMILIES.values():
         if (spec.a, spec.bumpers) == (a, bumpers):
@@ -77,8 +70,8 @@ def _emit(args, text: str, payload: dict) -> None:
 
 
 def cmd_bracket(args) -> int:
-    spec = _spec_from_args(args)
-    d = BilliardDiagram(spec)
+    d = diagram(args.a, args.b, bumpers=args.bumpers)
+    spec = d.spec
     if args.method == "oracle":
         value = bracket_bruteforce(d.assign_signs(args.signs))
     else:
@@ -93,8 +86,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    spec = _spec_from_args(args)
-    d = BilliardDiagram(spec)
+    d = diagram(args.a, args.b, bumpers=args.bumpers)
+    spec = d.spec
     sd = d.assign_signs(args.signs)
     ts = _closed_form(spec)
     bracket = bracket_bruteforce(sd) if ts is None else ts.evaluate(args.signs)
@@ -132,8 +125,8 @@ def cmd_terms(args) -> int:
 
 
 def cmd_pd(args) -> int:
-    spec = _spec_from_args(args)
-    d = BilliardDiagram(spec)
+    d = diagram(args.a, args.b, bumpers=args.bumpers)
+    spec = d.spec
     signs = args.signs
     if signs is None:
         signs = "".join(
@@ -211,8 +204,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = _spec_from_args(args)
-    d = BilliardDiagram(spec)
+    d = diagram(args.a, args.b, bumpers=args.bumpers)
+    spec = d.spec
     k = d.crossing_count
     if k > ORACLE_LIMIT:
         raise ValueError(

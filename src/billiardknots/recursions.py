@@ -1,13 +1,17 @@
-"""Compressed bracket expansions for the diagram families.
+"""Closed-form bracket expansions, spelled in one symbol alphabet.
 
-Four families of closed-form term sums, evaluated against sign sequences:
+Every closed form is a sum of summands, each a tuple of symbols: the
+``terms.BLOCKS`` symbols plus the indexed blocks ``P<i>`` (P'_i), ``P̃<i>``
+(P~'_i), ``Q<i>`` and ``h<m>``, the strings the renderers print.  Each block
+is spelled once, here, and ``expand_block`` resolves any symbol to a flat
+term sum; ``_family_terms`` multiplies out and sums a family's summands.
 
 * ``f_terms(b)``   - width b-1 sums for the height-3 tables, generated by a
   one-level rewriting on summand endings (replace a trailing A-factor by C,
   extend a trailing kink pair by an A-factor, branch a trailing C).
 * ``h_terms(b)``   - width 2(b-1) sums for the height-5 tables, assembled
-  from skeletons (i, composition of b-1-i): a fixed head of three block
-  sums followed by one P-block per composition part.
+  from skeletons (i, composition of b-1-i): the three heads (h3, P̃<i-2>),
+  (h2, P<i-1>) and (Q<i>), each followed by one P-block per composition part.
 * ``b_terms(n)``/``bt_terms(n)`` - the two- and one-bumper variants, with
   skipped slots aligned to the table's missing crossings.
 
@@ -19,8 +23,8 @@ P-block variant selection.  Each composition part expands to P'_c or P~'_c.
 The resolved convention, validated against the printed width-4..6 tables and
 the exhaustive oracle sweep: heads are always [h3, P~'_(i-2)] and
 [h2, P'_(i-1)]; a tail part preceded by s slot-pairs inside the tail takes
-P' exactly when i + s is odd.  ``h_skeletons`` records the choice per part
-so it can be dumped for inspection.
+P' exactly when i + s is odd.  ``h_skeletons`` names the choice per part so
+it can be dumped for inspection.
 
 Writhe recursions: extending a knot table by one period (three crossings at
 height 3, ten at height 5) adds a signed pattern that depends only on the
@@ -29,23 +33,104 @@ old width's residue and parity; bases come from direct counts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .billiard import diagram, writhe_direct
-from .terms import (
-    BLOCKS,
-    EMPTY,
-    SignSeq,
-    TermSum,
-    add_all,
-    p_prime,
-    p_tilde,
-    parse_signs,
-    product,
-    q_block,
-)
+from .terms import BLOCKS, SignSeq, TermSum, add_all, parse_signs, product
+
+Spelling = tuple[tuple[str, ...], ...]
+
+# ---------------------------------------------------------------------------
+# The symbol alphabet: indexed blocks, the resolver and the builder.
+# ---------------------------------------------------------------------------
+
+
+def p_spelling(i: int, tilde: bool) -> Spelling:
+    """P'_i (or P~'_i when ``tilde``), width 2i.
+
+    P'_1 = P~'_1 = (A^±,A^±); P'_2 = (K)+(A^±,L)+(X,A^∓,A^±) and
+    P~'_2 = (X,A^±,A^∓)+(L,A^±)+(K); for i >= 3,
+
+    P'_i,  odd i = 2j+3:  (R,N^j,A^±,A^∓) + (A^±,K^(j+1),A^±),
+    P'_i,  even i = 2j+2: (X,Ñ^j,A^∓,A^±) + (A^±,K^j,L),
+    P~'_i, odd i = 2j+3:  (L,K^j,L) + (R̃,Ñ^j,A^∓,A^±),
+    P~'_i, even i = 2j+2: (L,K^j,A^±) + (X,N^j,A^±,A^∓).
+
+    Every even-index prime block is consumed at an even recursion stage,
+    where the one-bumper pieces feeding it carry Ñ rather than N; the
+    exhaustive oracle sweep (first decisive at width 2*5) confirms Ñ.
+    """
+    if i < 1:
+        raise ValueError("P block index must be >= 1")
+    if i == 1:
+        return (("A^±", "A^±"),)
+    if i == 2:
+        if tilde:
+            return (("X", "A^±", "A^∓"), ("L", "A^±"), ("K",))
+        return (("K",), ("A^±", "L"), ("X", "A^∓", "A^±"))
+    if i % 2 == 1:
+        j = (i - 3) // 2
+        if tilde:
+            return (("L",) + ("K",) * j + ("L",),
+                    ("R̃",) + ("Ñ",) * j + ("A^∓", "A^±"))
+        return (("R",) + ("N",) * j + ("A^±", "A^∓"),
+                ("A^±",) + ("K",) * (j + 1) + ("A^±",))
+    j = (i - 2) // 2
+    if tilde:
+        return (("L",) + ("K",) * j + ("A^±",),
+                ("X",) + ("N",) * j + ("A^±", "A^∓"))
+    return (("X",) + ("Ñ",) * j + ("A^∓", "A^±"),
+            ("A^±",) + ("K",) * j + ("L",))
+
+
+def q_spelling(i: int) -> Spelling:
+    """Q_i (i >= 3), width 2i.
+
+    odd i = 2j+3:  (M,K^j,L) + (S,Ñ^j,A^∓,A^±),
+    even i = 2j+2: (M,K^j,A^±) + (g2,N^j,A^±,A^∓).
+
+    The even case indexes j = (i-2)/2: that is the unique choice giving width
+    2i, and the second piece carries N (not K); both points are validated by
+    the exhaustive oracle sweep in the test suite.
+    """
+    if i < 3:
+        raise ValueError("Q block index must be >= 3")
+    if i % 2 == 1:
+        j = (i - 3) // 2
+        return (("M",) + ("K",) * j + ("L",), ("S",) + ("Ñ",) * j + ("A^∓", "A^±"))
+    j = (i - 2) // 2
+    return (("M",) + ("K",) * j + ("A^±",), ("g2",) + ("N",) * j + ("A^±", "A^∓"))
+
+
+_INDEXED = re.compile(r"(P̃|P|Q|h)([1-9][0-9]*)")
+
+
+def expand_block(symbol: str) -> TermSum:
+    """Resolve one symbol of the alphabet to its flat term sum.
+
+    A ``BLOCKS`` symbol, or an indexed block: ``P<i>``/``P̃<i>`` (i >= 1,
+    P̃1 = P1), ``Q<i>`` (i >= 3) or ``h<m>`` (m >= 1, the height-5 family).
+    """
+    if symbol in BLOCKS:
+        return BLOCKS[symbol]
+    match = _INDEXED.fullmatch(symbol)
+    if match is None:
+        raise ValueError(f"unknown block symbol {symbol!r}")
+    name, i = match.group(1), int(match.group(2))
+    if name == "h":
+        return h_terms(i)
+    spelling = q_spelling(i) if name == "Q" else p_spelling(i, tilde=name == "P̃")
+    return _family_terms(spelling)
+
+
+def _family_terms(summands: Iterable[tuple[str, ...]]) -> TermSum:
+    """Sum over summands, each the product of its symbols' term sums."""
+    return add_all(product(*map(expand_block, s)) for s in summands)
+
 
 # ---------------------------------------------------------------------------
 # Height 3: the f family.
@@ -170,11 +255,6 @@ def compositions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _tail_prime_resolved(i: int, s: int, c: int) -> bool:
-    """P' exactly when head index plus preceding slot-pairs is odd."""
-    return (i + s) % 2 == 1
-
-
 @dataclass(frozen=True)
 class HSkeleton:
     """One (i, composition) skeleton of the height-5 expansion."""
@@ -182,17 +262,19 @@ class HSkeleton:
     b: int
     i: int
     tail: tuple[int, ...]
-    tail_primes: tuple[bool, ...]
 
     def head_names(self) -> tuple[str, str, str]:
         return (_p_name(self.i - 2, tilde=True), _p_name(self.i - 1, tilde=False),
                 f"Q{self.i}")
 
     def tail_names(self) -> tuple[str, ...]:
-        return tuple(
-            _p_name(c, tilde=not prime)
-            for c, prime in zip(self.tail, self.tail_primes)
-        )
+        """P' for a part preceded by s slot pairs exactly when i + s is odd."""
+        names = []
+        s = 0
+        for c in self.tail:
+            names.append(_p_name(c, tilde=(self.i + s) % 2 == 0))
+            s += c
+        return tuple(names)
 
     def as_dict(self) -> dict:
         return {
@@ -207,21 +289,12 @@ def _p_name(c: int, tilde: bool) -> str:
     return f"P̃{c}" if tilde and c >= 2 else f"P{c}"
 
 
-def h_skeletons(
-    b: int, tail_prime: Callable[[int, int, int], bool] = _tail_prime_resolved
-) -> tuple[HSkeleton, ...]:
+def h_skeletons(b: int) -> tuple[HSkeleton, ...]:
     if b < 4:
         raise ValueError("skeletons exist for b >= 4")
-    out = []
-    for i in range(3, b):
-        for comp in compositions(b - 1 - i):
-            primes = []
-            s = 0
-            for c in comp:
-                primes.append(tail_prime(i, s, c))
-                s += c
-            out.append(HSkeleton(b, i, comp, tuple(primes)))
-    return tuple(out)
+    return tuple(
+        HSkeleton(b, i, comp) for i in range(3, b) for comp in compositions(b - 1 - i)
+    )
 
 
 def count_h_skeletons(b: int) -> int:
@@ -232,92 +305,64 @@ def skeletons_json(b: int) -> list[dict]:
     return [sk.as_dict() for sk in h_skeletons(b)]
 
 
-def _skeleton_sum(sk: HSkeleton, q_fn: Callable[[int], TermSum]) -> TermSum:
-    head = add_all((
-        product(BLOCKS["h3"], p_tilde(sk.i - 2)),
-        product(BLOCKS["h2"], p_prime(sk.i - 1)),
-        q_fn(sk.i),
-    ))
-    blocks = [head]
-    for c, prime in zip(sk.tail, sk.tail_primes):
-        blocks.append(p_prime(c) if prime else p_tilde(c))
-    return product(*blocks)
+#: h3 = (h2,A^±,A^±) + (K) + (g2,A^±,A^∓) + (M,A^±).
+H3_SPELLING: Spelling = (("h2", "A^±", "A^±"), ("K",), ("g2", "A^±", "A^∓"), ("M", "A^±"))
 
 
-def _h_terms_custom(
-    b: int,
-    tail_prime: Callable[[int, int, int], bool] = _tail_prime_resolved,
-    q_fn: Callable[[int], TermSum] = q_block,
-) -> TermSum:
+def h_summands(b: int) -> Spelling:
+    """Symbolic summands of the height-5 expansion of width 2(b-1).
+
+    From b = 4 on, each skeleton contributes its three heads, each followed
+    by the skeleton's tail names.
+    """
     if b < 1:
         raise ValueError("b must be >= 1")
     if b == 1:
-        return EMPTY
+        return ((),)
     if b == 2:
-        return BLOCKS["h2"]
+        return (("h2",),)
     if b == 3:
-        return BLOCKS["h3"]
-    total = add_all(_skeleton_sum(sk, q_fn) for sk in h_skeletons(b, tail_prime))
-    assert total.width == 2 * (b - 1)
-    return total
+        return H3_SPELLING
+    out: list[tuple[str, ...]] = []
+    for sk in h_skeletons(b):
+        p_tilde, p_prime, q = sk.head_names()
+        tail = sk.tail_names()
+        out += [("h3", p_tilde) + tail, ("h2", p_prime) + tail, (q,) + tail]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def h_terms(b: int) -> TermSum:
     """Flat term sum for the height-5 table of width b-1."""
-    return _h_terms_custom(b)
-
-
-def _q_pieces(i: int) -> list[list[str]]:
-    if i % 2 == 1:
-        j = (i - 3) // 2
-        return [["M"] + ["K"] * j + ["L"], ["S"] + ["Ñ"] * j + ["A^∓", "A^±"]]
-    j = (i - 2) // 2
-    return [["M"] + ["K"] * j + ["A^±"], ["g2"] + ["N"] * j + ["A^±", "A^∓"]]
+    total = _family_terms(h_summands(b))
+    assert total.width == 2 * (b - 1)
+    return total
 
 
 def render_h(b: int) -> str:
     """The h sum in block notation, grouped by skeleton head as printed."""
-    if b == 1:
-        return "1"
     if b == 2:
-        return "(A^±,A^±)+δ(A^±,A^∓)+δ(A^∓,A^±)+δ^2(A^∓,A^∓)"
-    if b == 3:
-        return "(h2,A^±,A^±)+(K)+(g2,A^±,A^∓)+(M,A^±)"
+        return BLOCKS["h2"].render()
+    if b <= 3:
+        return _render_summands(h_summands(b))
     groups = []
-    for i in range(3, b):
-        head = [
-            f"h3,{_p_name(i - 2, tilde=True)}",
-            f"h2,{_p_name(i - 1, tilde=False)}",
-        ] + [",".join(piece) for piece in _q_pieces(i)]
-        comps = compositions(b - 1 - i)
-        if comps == ((),):
+    for i, same_head in groupby(h_skeletons(b), key=lambda sk: sk.i):
+        skeletons = list(same_head)
+        p_tilde, p_prime, _ = skeletons[0].head_names()
+        head = [f"h3,{p_tilde}", f"h2,{p_prime}"] + [",".join(s) for s in q_spelling(i)]
+        tails = [",".join(sk.tail_names()) for sk in skeletons]
+        if tails == [""]:
             groups.append("+".join(f"({piece})" for piece in head))
             continue
-        tails = []
-        for sk in h_skeletons(b):
-            if sk.i != i:
-                continue
-            tails.append(",".join(sk.tail_names()))
         headstr = "+".join(f"[{piece}]" for piece in head)
-        if len(tails) == 1:
-            groups.append(f"({headstr},{tails[0]})")
-        else:
-            tailstr = "+".join(f"[{t}]" for t in tails)
-            groups.append(f"({headstr},{tailstr})")
+        tailstr = tails[0] if len(tails) == 1 else "+".join(f"[{t}]" for t in tails)
+        groups.append(f"({headstr},{tailstr})")
     return "+".join(groups)
 
 
 # ---------------------------------------------------------------------------
 # Bumpered families.
 # ---------------------------------------------------------------------------
-
-def _symbol_sum(tok: str) -> TermSum:
-    """A summand symbol's term sum: a ``BLOCKS`` entry or ``h<m>``."""
-    if tok in BLOCKS:
-        return BLOCKS[tok]
-    return h_terms(int(tok[1:]))
-
 
 def b_summands(n: int) -> tuple[tuple[str, ...], ...]:
     """Symbolic summands of the two-bumper expansion of width n."""
@@ -378,11 +423,6 @@ def bt_summands(n: int) -> tuple[tuple[str, ...], ...]:
                 out.append((f"h{m}", "R") + ("N",) * ((d - 1) // 2))
         out.append(("g2",) + ("N",) * ((n - 2) // 2))
     return tuple(out)
-
-
-def _family_terms(summands: Iterable[tuple[str, ...]]) -> TermSum:
-    """Sum over summands, each the product of its symbols' term sums."""
-    return add_all(product(*map(_symbol_sum, s)) for s in summands)
 
 
 @lru_cache(maxsize=None)

@@ -24,9 +24,9 @@ sequences for such families align positionally with the full slot grid.
 
 ``BLOCKS`` is the one registry of fixed-width blocks, keyed by the symbol
 printed in the closed-form tables: the single factors (A^±, A^∓, f2^±, f2^∓,
-_) and the named blocks (C, X, K, L, M, N, Ñ, R, R̃, S, g2, h2, h3, f3).  The
-family builders spell each summand as a tuple of these symbols.  Blocks and
-the parametric families P'_i, P~'_i, Q_i expand eagerly to flat term sums;
+_) and the named blocks (C, X, K, L, M, N, Ñ, R, R̃, S, g2, h2, f3).  The
+indexed blocks (P'_i, P~'_i, Q_i, h_m) are spelled over these symbols in
+``recursions``, which resolves every spelling to a flat term sum;
 evaluation never recurses.  ``add_all`` sums any number of term sums in one
 pass, validating the widths and skip layouts once.
 """
@@ -276,103 +276,6 @@ R_BLOCK = _single(Factor.F2MP, Factor.APM, Factor.AMP, Factor.AMP)
 RT_BLOCK = _single(Factor.APM, Factor.F2MP, Factor.AMP, Factor.AMP)
 S_BLOCK = _single(Factor.F2PM, Factor.F2MP, Factor.AMP, Factor.AMP)
 
-#: h3 = (h2,A^±,A^±) + (K) + (g2,A^±,A^∓) + (M,A^±).
-H3_BLOCK = (
-    product(H2_BLOCK, APM, APM)
-    + K_BLOCK
-    + product(G2_BLOCK, APM, AMP)
-    + product(M_BLOCK, APM)
-)
-
-
-def _powers(block: TermSum, j: int) -> TermSum:
-    return product(*([block] * j))
-
-
-def p_prime(i: int) -> TermSum:
-    """P'_i, width 2i.
-
-    P'_1 = [A^±,A^±]; P'_2 = [K] + [A^±,L] + [X,A^∓,A^±]; for i >= 3,
-    odd i = 2j+3:  [R,N^j,A^±,A^∓] + [A^±,K^(j+1),A^±],
-    even i = 2j+2: [X,NT^j,A^∓,A^±] + [A^±,K^j,L].
-
-    Every even-index prime block is consumed at an even recursion stage,
-    where the one-bumper pieces feeding it carry NT rather than N; the
-    exhaustive oracle sweep (first decisive at width 2*5) confirms NT.
-    """
-    if i < 1:
-        raise ValueError("P block index must be >= 1")
-    if i == 1:
-        return _single(Factor.APM, Factor.APM)
-    if i == 2:
-        out = K_BLOCK + product(APM, L_BLOCK) + product(X_BLOCK, AMP, APM)
-    elif i % 2 == 1:
-        j = (i - 3) // 2
-        out = product(R_BLOCK, _powers(N_BLOCK, j), APM, AMP) + product(
-            APM, _powers(K_BLOCK, j + 1), APM
-        )
-    else:
-        j = (i - 2) // 2
-        out = product(X_BLOCK, _powers(NT_BLOCK, j), AMP, APM) + product(
-            APM, _powers(K_BLOCK, j), L_BLOCK
-        )
-    assert out.width == 2 * i
-    return out
-
-
-def p_tilde(i: int) -> TermSum:
-    """P~'_i, width 2i.
-
-    P~'_1 = P'_1; P~'_2 = [X,A^±,A^∓] + [L,A^±] + [K]; for i >= 3,
-    odd i = 2j+3:  [L,K^j,L] + [RT,NT^j,A^∓,A^±],
-    even i = 2j+2: [L,K^j,A^±] + [X,N^j,A^±,A^∓].
-    """
-    if i < 1:
-        raise ValueError("P block index must be >= 1")
-    if i == 1:
-        return p_prime(1)
-    if i == 2:
-        out = product(X_BLOCK, APM, AMP) + product(L_BLOCK, APM) + K_BLOCK
-    elif i % 2 == 1:
-        j = (i - 3) // 2
-        out = product(L_BLOCK, _powers(K_BLOCK, j), L_BLOCK) + product(
-            RT_BLOCK, _powers(NT_BLOCK, j), AMP, APM
-        )
-    else:
-        j = (i - 2) // 2
-        out = product(L_BLOCK, _powers(K_BLOCK, j), APM) + product(
-            X_BLOCK, _powers(N_BLOCK, j), APM, AMP
-        )
-    assert out.width == 2 * i
-    return out
-
-
-def q_block(i: int) -> TermSum:
-    """Q_i (i >= 3), width 2i.
-
-    odd i = 2j+3:  [M,K^j,L] + [S,NT^j,A^∓,A^±],
-    even i = 2j+2: [M,K^j,A^±] + [g2,N^j,A^±,A^∓].
-
-    The even case indexes j = (i-2)/2: that is the unique choice giving width
-    2i, and the second piece carries N (not K); both points are validated by
-    the exhaustive oracle sweep in the test suite.
-    """
-    if i < 3:
-        raise ValueError("Q block index must be >= 3")
-    if i % 2 == 1:
-        j = (i - 3) // 2
-        out = product(M_BLOCK, _powers(K_BLOCK, j), L_BLOCK) + product(
-            S_BLOCK, _powers(NT_BLOCK, j), AMP, APM
-        )
-    else:
-        j = (i - 2) // 2
-        out = product(M_BLOCK, _powers(K_BLOCK, j), APM) + product(
-            G2_BLOCK, _powers(N_BLOCK, j), APM, AMP
-        )
-    assert out.width == 2 * i
-    return out
-
-
 #: The block registry, keyed by printed symbol.
 BLOCKS: dict[str, TermSum] = {
     "A^±": APM,
@@ -392,36 +295,8 @@ BLOCKS: dict[str, TermSum] = {
     "S": S_BLOCK,
     "g2": G2_BLOCK,
     "h2": H2_BLOCK,
-    "h3": H3_BLOCK,
     "f3": F3_BLOCK,
 }
-
-
-def expand_block(name: str, i: int | None = None, j: int | None = None) -> TermSum:
-    """Look up a block, fully expanded to a flat term sum.
-
-    Fixed blocks are the ``BLOCKS`` symbols and take no index.  ``P'``/``P~'``
-    need ``i >= 1``; ``Q`` needs ``i >= 3``.  ``P`` additionally takes the tail
-    position ``j`` (slot pairs preceding the block) and resolves to P' when
-    ``i + j`` is odd, else P~'.
-    """
-    if name in BLOCKS:
-        if i is not None:
-            raise ValueError(f"block {name} takes no index")
-        return BLOCKS[name]
-    if i is None:
-        raise ValueError(f"block {name} needs an index")
-    if name == "P'":
-        return p_prime(i)
-    if name == "P~'":
-        return p_tilde(i)
-    if name == "Q":
-        return q_block(i)
-    if name == "P":
-        if j is None:
-            raise ValueError("block P needs the position parameter j")
-        return p_prime(i) if (i + j) % 2 == 1 else p_tilde(i)
-    raise ValueError(f"unknown block {name!r}")
 
 
 class CompiledTermSum:

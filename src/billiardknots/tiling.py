@@ -14,7 +14,7 @@ tilings are the summands of ``recursions.f_summands`` read as tiles.
 from __future__ import annotations
 
 from . import recursions
-from .terms import BLOCKS, TermSum, product
+from .terms import TermSum
 
 
 def count_domino_tilings(n: int) -> int:
@@ -38,7 +38,7 @@ def tiling_to_term(t: tuple[str, ...]) -> TermSum:
     """The f summand a tile sequence stands for, as a flat term sum."""
     if not t or t[0] not in ("S1", "S2") or any(x in ("S1", "S2") for x in t[1:]):
         raise ValueError("a tiling carries exactly one start tile, first")
-    return product(*(BLOCKS[sym] for sym in recursions._f_symbols(t)))
+    return recursions._family_terms((recursions._f_symbols(t),))
 
 
 def render_tilings(b: int) -> str:

@@ -111,6 +111,15 @@ def test_bumpered_shapes():
     assert d2.skip_positions == {0}
 
 
+def test_bumpered_height_is_not_substituted():
+    # Bumpers exist at height 5 only; another height is rejected, not
+    # silently replaced by 5.
+    for a, b, bump in [(3, 4, 2), (4, 5, 1), (3, 3, 1)]:
+        with pytest.raises(ValueError, match="only supported at a=5"):
+            diagram(a, b, bumpers=bump)
+    assert diagram(5, 4, bumpers=2).spec == TableSpec.bumpered(4, 2)
+
+
 def test_canonical_order_stable_and_sorted():
     d1, d2 = diagram(5, 6), diagram(5, 6)
     pos1 = [(c.x, c.y) for c in d1.crossings]

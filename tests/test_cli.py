@@ -7,6 +7,9 @@ from billiardknots.billiard import diagram, writhe_direct
 from billiardknots.cli import main
 from billiardknots.laurent import jones_normalize
 from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
+from billiardknots.recursions import b_terms, bt_terms, f_terms, h_terms, skeletons_json
+
+from .test_recursions import B_RENDERED, BT_RENDERED, F_RENDERED, H_RENDERED
 
 
 def run(capsys, *argv):
@@ -80,6 +83,18 @@ def test_terms(capsys):
     code, out, _ = run(capsys, "terms", "--family", "bt", "--n", "4")
     assert code == 0
     assert out.splitlines()[0] == "(h3,X)+(h2,R)+(g2,N)"
+    families = {"f": (F_RENDERED, f_terms), "h": (H_RENDERED, h_terms),
+                "b": (B_RENDERED, b_terms), "bt": (BT_RENDERED, bt_terms)}
+    for family, (rendered, terms) in families.items():
+        for n, want in rendered.items():
+            code, out, _ = run(capsys, "--json", "terms", "--family", family, "--n", str(n))
+            assert code == 0
+            data = json.loads(out)
+            assert data["rendered"] == want, (family, n)
+            assert data["flat_terms"] == len(terms(n)), (family, n)
+            if (family, n) == ("h", 6):
+                assert data["skeletons"] == 4
+                assert data["skeleton_list"] == skeletons_json(6)
 
 
 def test_pd(capsys):
@@ -117,6 +132,14 @@ def test_non_planar_table_exit_2(capsys):
                        "--method", "oracle")
     assert code == 2
     assert "T(4,4) has no planar closure" in err
+
+
+def test_bumpered_height_other_than_5_exit_2(capsys):
+    # The height is checked, not replaced: B_2(3,4) does not exist.
+    code, out, err = run(capsys, "bracket", "--a", "3", "--b", "4", "--bumpers", "2",
+                         "--signs", "++++_+")
+    assert code == 2 and out == ""
+    assert "only supported at a=5" in err
 
 
 def test_table_rows(capsys):

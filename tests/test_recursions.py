@@ -7,7 +7,7 @@ from billiardknots.billiard import diagram, writhe_direct
 from billiardknots.laurent import DELTA, LaurentPoly, coefficient_string
 from billiardknots.oracle import bracket_all_signs, bracket_bruteforce, sign_sequences
 from billiardknots.recursions import (
-    _h_terms_custom,
+    _family_terms,
     b_summands,
     b_terms,
     bt_terms,
@@ -17,6 +17,7 @@ from billiardknots.recursions import (
     f_summands,
     f_terms,
     h_skeletons,
+    h_summands,
     h_terms,
     padovan,
     render_b,
@@ -27,7 +28,6 @@ from billiardknots.recursions import (
     writhe_recursive,
 )
 from billiardknots.terms import CompiledTermSum
-import billiardknots.terms as T
 
 # Closed-form tables, transcribed once; the renderers must reproduce them
 # token for token.
@@ -194,6 +194,43 @@ def _sweep_ok(d, ts) -> bool:
     return all(evaluator.evaluate(s) == want for s, want in oracle.items())
 
 
+def _respelled(summands, symbol, spelling):
+    """The term sum of ``summands`` with ``symbol`` spelled as ``spelling``:
+    each summand naming it splits into one summand per spelling summand."""
+    out = []
+    for summand in summands:
+        expanded = [()]
+        for sym in summand:
+            choices = spelling if sym == symbol else ((sym,),)
+            expanded = [head + choice for head in expanded for choice in choices]
+        out += expanded
+    return _family_terms(out)
+
+
+def _q4_with_k():
+    """h(5) with the even Q4 closing on K where the resolved form has N."""
+    return _respelled(h_summands(5), "Q4", (("M", "K", "A^±"), ("g2", "K", "A^±", "A^∓")))
+
+
+def _p4_with_n():
+    """h(6) with the even prime P4 carrying N where the resolved form has Ñ."""
+    return _respelled(h_summands(6), "P4", (("X", "N", "A^∓", "A^±"), ("A^±", "K", "L")))
+
+
+def _part_size_tail_rule():
+    """h(6) with tail parts named by the part-size rule: a part c preceded
+    by s slot pairs takes P' iff c + s is odd (the resolved rule uses i + s)."""
+    out = []
+    for sk in h_skeletons(6):
+        tail, s = (), 0
+        for c in sk.tail:
+            tail += (f"P{c}" if (c + s) % 2 == 1 else f"P̃{c}",)
+            s += c
+        p_tilde, p_prime, q = sk.head_names()
+        out += [("h3", p_tilde) + tail, ("h2", p_prime) + tail, (q,) + tail]
+    return _family_terms(out)
+
+
 def test_q_even_block_resolution():
     """The even-index Q block must carry N, and its index is j = (i-2)/2.
 
@@ -201,19 +238,9 @@ def test_q_even_block_resolution():
     against the exhaustive state sum rejects K at every one of the 256
     width-5 sign assignments it distinguishes.
     """
-
-    def q_with_k(i):
-        if i % 2 == 1:
-            return T.q_block(i)
-        j = (i - 2) // 2
-        return T.product(T.M_BLOCK, T._powers(T.K_BLOCK, j), T.APM) + T.product(
-            T.G2_BLOCK, T._powers(T.K_BLOCK, j), T.APM, T.AMP
-        )
-
     d5 = diagram(5, 5)
     assert _sweep_ok(d5, h_terms(5))
-    bad = _h_terms_custom(5, q_fn=q_with_k)
-    evaluator = CompiledTermSum(bad)
+    evaluator = CompiledTermSum(_q4_with_k())
     oracle = bracket_all_signs(d5)
     mismatches = sum(1 for s, want in oracle.items() if evaluator.evaluate(s) != want)
     assert mismatches == len(oracle)
@@ -227,46 +254,17 @@ def test_tail_parity_rule_resolution():
     """
     d6 = diagram(5, 6)
     assert _sweep_ok(d6, h_terms(6))
-    bad = _h_terms_custom(6, tail_prime=lambda i, s, c: (c + s) % 2 == 1)
-    assert not _sweep_ok(d6, bad)
+    assert not _sweep_ok(d6, _part_size_tail_rule())
 
 
 def test_prime_even_block_flavor_resolution():
-    """Even-index prime P blocks carry NT, not the N the tilde blocks use.
+    """Even-index prime P blocks carry Ñ, not the N the tilde blocks use.
 
     Swapping N back in (the other reading of the closed form) breaks the
     width-6 sweep, where P4 first appears with a nonzero repeat count.
     """
-
-    def p_prime_with_n(i):
-        if i == 1 or i == 2 or i % 2 == 1:
-            return T.p_prime(i)
-        j = (i - 2) // 2
-        return T.product(T.X_BLOCK, T._powers(T.N_BLOCK, j), T.AMP, T.APM) + T.product(
-            T.APM, T._powers(T.K_BLOCK, j), T.L_BLOCK
-        )
-
-    # Rebuild width-6 skeletons with the N-flavored prime-even blocks.
-    from billiardknots.recursions import HSkeleton
-    from billiardknots.terms import product
-
-    def custom_h6():
-        total = None
-        for sk in h_skeletons(6):
-            head = (
-                product(T.H3_BLOCK, T.p_tilde(sk.i - 2))
-                + product(T.H2_BLOCK, p_prime_with_n(sk.i - 1))
-                + T.q_block(sk.i)
-            )
-            blocks = [head]
-            for c, prime in zip(sk.tail, sk.tail_primes):
-                blocks.append(p_prime_with_n(c) if prime else T.p_tilde(c))
-            ts = product(*blocks)
-            total = ts if total is None else total + ts
-        return total
-
     d6 = diagram(5, 6)
-    assert not _sweep_ok(d6, custom_h6())
+    assert not _sweep_ok(d6, _p4_with_n())
     assert _sweep_ok(d6, h_terms(6))
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from billiardknots.laurent import DELTA, LaurentPoly, delta_power
+from billiardknots.recursions import expand_block, h_terms
 from billiardknots.terms import (
     AMP,
     APM,
@@ -14,7 +15,6 @@ from billiardknots.terms import (
     F3_BLOCK,
     G2_BLOCK,
     H2_BLOCK,
-    H3_BLOCK,
     CompiledTermSum,
     Factor,
     SlotTerm,
@@ -22,15 +22,12 @@ from billiardknots.terms import (
     X_BLOCK,
     _as_delta_power,
     add_all,
-    expand_block,
-    p_prime,
-    p_tilde,
     parse_signs,
     product,
-    q_block,
 )
 
 A = LaurentPoly.monomial
+H3 = expand_block("h3")
 
 
 def test_factor_values():
@@ -84,39 +81,30 @@ def test_concat_identity_and_width():
 
 
 def test_slot_width_and_blocks():
-    assert H3_BLOCK.width == 4
-    for i in range(1, 7):
-        assert p_prime(i).width == 2 * i
-        assert p_tilde(i).width == 2 * i
-    for i in range(3, 8):
-        assert q_block(i).width == 2 * i
+    assert H3.width == 4
 
 
 def test_expand_block_api():
-    p1 = expand_block("P'", 1)
-    assert len(p1.terms) == 1 and p1.width == 2
-    assert expand_block("P~'", 1).canonical() == p1.canonical()
-    p3 = expand_block("P'", 3)
-    assert p3.width == 6 and len(p3.terms) == 2
-    q3 = expand_block("Q", 3)
-    assert q3.width == 6 and len(q3.terms) == 2
-    # Parity resolution through the generic P name.
-    assert expand_block("P", 2, j=1).canonical() == p_prime(2).canonical()
-    assert expand_block("P", 2, j=2).canonical() == p_tilde(2).canonical()
-    assert expand_block("C").width == 2
-    with pytest.raises(ValueError):
-        expand_block("Q", 2)
-    with pytest.raises(ValueError):
-        expand_block("P'", 0)
-    with pytest.raises(ValueError):
-        expand_block("nope")
-    with pytest.raises(ValueError):
-        expand_block("P", 2)
+    for i in range(1, 9):
+        assert expand_block(f"P{i}").width == 2 * i
+        assert expand_block(f"P̃{i}").width == 2 * i
+    for i in range(3, 9):
+        assert expand_block(f"Q{i}").width == 2 * i
+    p1 = expand_block("P1")
+    assert len(p1.terms) == 1
+    assert expand_block("P̃1").canonical() == p1.canonical()
+    assert len(expand_block("P3").terms) == 2 and len(expand_block("Q3").terms) == 2
+    for m in range(1, 7):
+        assert expand_block(f"h{m}").canonical() == h_terms(m).canonical(), m
+    assert expand_block("C") is C_BLOCK
+    for bad in ("P0", "P01", "Q2", "h0", "P", "Q", "P̃", "nope", "P'2", "h-1", ""):
+        with pytest.raises(ValueError):
+            expand_block(bad)
 
 
 def test_p2_blocks_flat_shape():
-    assert len(p_prime(2).terms) == 5
-    assert len(p_tilde(2).terms) == 5
+    assert len(expand_block("P2").terms) == 5
+    assert len(expand_block("P̃2").terms) == 5
 
 
 def test_eval_errors():
@@ -155,7 +143,7 @@ def test_scale_and_render():
 
 def test_compiled_matches_plain_evaluation():
     rng = random.Random(11)
-    sums = [H3_BLOCK, product(G2_BLOCK, q_block(4)), product(p_tilde(3), X_BLOCK)]
+    sums = [H3, product(G2_BLOCK, expand_block("Q4")), product(expand_block("P̃3"), X_BLOCK)]
     for ts in sums:
         compiled = CompiledTermSum(ts)
         for _ in range(25):
@@ -164,7 +152,7 @@ def test_compiled_matches_plain_evaluation():
 
 
 def test_compiled_exhaustive_small():
-    ts = H3_BLOCK
+    ts = H3
     compiled = CompiledTermSum(ts)
     for combo in itertools.product((1, -1), repeat=4):
         assert compiled.evaluate(combo) == ts.evaluate(combo)
