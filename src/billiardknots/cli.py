@@ -217,7 +217,11 @@ def cmd_bench(args) -> int:
     sd = d.assign_signs(signs)
 
     t0 = time.perf_counter()
-    ts = _recursion_terms(spec)
+    ts = _closed_form(spec)
+    if ts is None:
+        raise ValueError(
+            f"{spec.label()} has no closed-form expansion; bench times one against the oracle"
+        )
     evaluator = CompiledTermSum(ts)
     build_s = time.perf_counter() - t0
 
@@ -232,13 +236,15 @@ def cmd_bench(args) -> int:
     assert fast == slow
     skeletons = count_h_skeletons(spec.b) if spec.a == 5 and not spec.bumpers and spec.b >= 4 else None
     speedup = oracle_s / recursion_s if recursion_s > 0 else float("inf")
+    end_to_end = oracle_s / (build_s + recursion_s)
     lines = [
         f"table {spec.label()} signs {signs}",
         f"oracle: 2^{k} = {1 << k} smoothing states in {oracle_s:.4f}s",
         f"recursion: {len(ts.terms)} flat terms"
         + (f" from {skeletons} skeletons" if skeletons else "")
         + f" in {recursion_s:.6f}s (one-time expansion {build_s:.3f}s)",
-        f"speedup: {speedup:.0f}x",
+        f"end-to-end speedup (expansion + evaluation): {end_to_end:.3g}x",
+        f"warm speedup (evaluation only): {speedup:.0f}x",
     ]
     _emit(
         args,
@@ -247,6 +253,7 @@ def cmd_bench(args) -> int:
          "oracle_seconds": oracle_s, "recursion_terms": len(ts.terms),
          "skeletons": skeletons, "recursion_seconds": recursion_s,
          "expansion_seconds": build_s, "speedup": speedup,
+         "end_to_end_speedup": end_to_end,
          "bracket": fast.json_pairs()},
     )
     return 0

@@ -13,13 +13,15 @@ exploits that: with pi = sigma xor eps, the bracket of sign vector eps is
 sum_pi delta^(L(pi) - 1) * prod_c A^(+1 if pi_c == eps_c else -1), i.e. the
 2^k loop-count table L pushed through one 2x2 kernel [[A, A^-1], [A^-1, A]]
 per crossing - a butterfly over the sign group, like a Walsh-Hadamard
-transform.  ``bracket_bruteforce`` stays deliberately plain - one union-find
-per state - since it is the oracle the fast paths are judged against.
+transform.  L itself is built by the same per-crossing doubling, as whole
+arrays of arc labels rather than one union-find per state.
+``bracket_bruteforce`` stays deliberately plain - one union-find per state -
+since it is the oracle the fast paths are judged against.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -51,22 +53,6 @@ def _arc_pairings(d: BilliardDiagram) -> list[tuple[tuple[int, int], ...]]:
         h = tuple((c.arcs[p], c.arcs[q]) for p, q in _PAIRING_H)
         table.append((v, h))
     return table
-
-
-def _loops(pairs: Sequence[tuple[int, int]], n_arcs: int) -> int:
-    parent = list(range(n_arcs))
-    roots = n_arcs
-    for x, y in pairs:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x != y:
-            parent[x] = y
-            roots -= 1
-    return roots
 
 
 def bracket_bruteforce(
@@ -138,26 +124,31 @@ def jones(sd: SignedDiagram, limit: int = ORACLE_LIMIT) -> QuarterPoly:
 
 def sign_sequences(d: BilliardDiagram) -> Iterator[str]:
     """All sign strings for the diagram's slots, skips fixed, '+' first."""
-    real = [i for i in range(d.slot_count) if i not in d.skip_positions]
-    for combo in iproduct("+-", repeat=len(real)):
-        chars = ["_"] * d.slot_count
-        for i, ch in zip(real, combo):
-            chars[i] = ch
-        yield "".join(chars)
+    skips = d.skip_positions
+    choices = ("_" if i in skips else "+-" for i in range(d.slot_count))
+    return map("".join, iproduct(*choices))
 
 
 def _loops_table(d: BilliardDiagram) -> np.ndarray:
-    """Loop count for every pairing vector pi over the crossings."""
-    k = d.crossing_count
-    pairings = _arc_pairings(d)
-    n_arcs = d.arc_count
-    out = np.empty(1 << k, dtype=np.int64)
-    for pi in range(1 << k):
-        pairs = []
-        for c in range(k):
-            pairs.extend(pairings[c][(pi >> c) & 1])
-        out[pi] = _loops(pairs, n_arcs)
-    return out
+    """Loop count for every pairing vector pi over the crossings.
+
+    One doubling pass per crossing: each row of ``lab`` labels every arc with
+    a representative arc of its loop so far (the representative labels
+    itself).  Crossing c applies each of its two pairings to every row, one
+    relabelling per merged pair, and stacks the halves, so bit c of the row
+    index picks crossing c's pairing.
+    """
+    arcs = np.arange(d.arc_count)
+    lab = arcs[None, :]
+    for pairing in _arc_pairings(d):
+        halves = []
+        for pairs in pairing:
+            half = lab
+            for x, y in pairs:
+                half = np.where(half == half[:, y, None], half[:, x, None], half)
+            halves.append(half)
+        lab = np.concatenate(halves)
+    return (lab == arcs).sum(axis=1)
 
 
 def bracket_all_signs(
@@ -165,11 +156,12 @@ def bracket_all_signs(
 ) -> dict[str, LaurentPoly]:
     """Brute-force bracket for every sign assignment of the diagram.
 
-    One union-find run per pairing vector fills the loop table; k butterfly
-    passes over it (one per crossing, two shifted adds along the exponent
-    axis each) then give every sign assignment's bracket at once, keyed and
-    ordered as ``sign_sequences``.  The tests cross-check this against
-    per-state ``bracket_bruteforce`` runs.
+    k doubling passes over arc-label arrays fill the loop table
+    (``_loops_table``); k butterfly passes over it (one per crossing, two
+    shifted adds along the exponent axis each) then give every sign
+    assignment's bracket at once, keyed and ordered as ``sign_sequences``.
+    The tests cross-check this against per-state ``bracket_bruteforce`` runs
+    and the loop table against a plain union-find.
     """
     k = d.crossing_count
     if k > limit:
@@ -204,8 +196,13 @@ def bracket_all_signs(
     # slowest, so reverse the bit axes.
     coef = coef.reshape((2,) * k + (off + 1,))
     coef = coef.transpose(tuple(reversed(range(k))) + (k,)).reshape(1 << k, off + 1)
-    exps = range(-off, off + 1, 2)
+    # Strip zeros in numpy; nonzero() walks row-major, so each row's
+    # exponents come out ascending.
+    rows, cols = np.nonzero(coef)
+    exps = iter((2 * cols - off).tolist())
+    vals = iter(coef[rows, cols].tolist())
+    counts = np.count_nonzero(coef, axis=1).tolist()
     return {
-        text: LaurentPoly(dict(zip(exps, row)))
-        for text, row in zip(sign_sequences(d), coef.tolist())
+        text: LaurentPoly._raw(dict(zip(islice(exps, n), islice(vals, n))))
+        for text, n in zip(sign_sequences(d), counts)
     }

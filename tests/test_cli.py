@@ -161,6 +161,18 @@ def test_bench_small(capsys):
     data = json.loads(out)
     assert data["oracle_states"] == 32
     assert data["speedup"] > 0
+    assert data["end_to_end_speedup"] == pytest.approx(
+        data["oracle_seconds"] / (data["expansion_seconds"] + data["recursion_seconds"])
+    )
+    assert data["end_to_end_speedup"] < data["speedup"]
+
+
+def test_bench_without_closed_form_exit_2(capsys):
+    # bench has no --method option, so it must not suggest one.
+    code, out, err = run(capsys, "bench", "--a", "4", "--b", "3")
+    assert code == 2 and out == ""
+    assert "T(4,3)" in err and "closed-form" in err
+    assert "--method" not in err
 
 
 def test_bad_arguments_exit_2(capsys):

@@ -5,6 +5,8 @@ import pytest
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, QuarterPoly
 from billiardknots.oracle import (
+    _arc_pairings,
+    _loops_table,
     bracket_all_signs,
     bracket_bruteforce,
     jones,
@@ -133,6 +135,58 @@ def test_all_signs_iteration_order_deterministic():
     d = diagram(5, 6, bumpers=2)
     assert d.skip_positions and d.crossing_count >= 3
     assert list(bracket_all_signs(d)) == list(sign_sequences(d))
+
+
+def test_sign_sequences_literal_order():
+    # '+' first, slot 0 slowest, '_' fixed at every skip.
+    assert list(sign_sequences(diagram(3, 4))) == [
+        "+++", "++-", "+-+", "+--", "-++", "-+-", "--+", "---",
+    ]
+    assert list(sign_sequences(diagram(5, 2, bumpers=2))) == ["_+", "_-"]
+    seqs = list(sign_sequences(diagram(5, 4, bumpers=2)))
+    assert len(seqs) == 32
+    assert seqs[:4] == ["++++_+", "++++_-", "+++-_+", "+++-_-"]
+    assert seqs[-2:] == ["----_+", "----_-"]
+
+
+def _union_find_loops(pairs, n_arcs):
+    parent = list(range(n_arcs))
+    loops = n_arcs
+    for x, y in pairs:
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            loops -= 1
+    return loops
+
+
+def test_loops_table_matches_union_find():
+    # Every constructible table with at most 12 crossings, links included.
+    tables = [(a, b, 0) for a in (3, 4, 5) for b in range(1, 15)]
+    tables += [(5, n, bump) for bump in (1, 2) for n in range(1, 8)]
+    checked = 0
+    for a, b, bump in tables:
+        try:
+            d = diagram(a, b, bumpers=bump)
+        except ValueError:
+            assert a == 4 and b % 8 == 4  # no planar closure
+            continue
+        k = d.crossing_count
+        if k > 12:
+            continue
+        pairings = _arc_pairings(d)
+        want = [
+            _union_find_loops(
+                [p for c in range(k) for p in pairings[c][(pi >> c) & 1]], d.arc_count
+            )
+            for pi in range(1 << k)
+        ]
+        assert _loops_table(d).tolist() == want, (a, b, bump)
+        checked += 1
+    assert checked == 42
 
 
 def test_jones_values():
