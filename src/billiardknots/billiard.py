@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import SignSeq, parse_signs, signs_text
+from .terms import SignSeq, check_signs, signs_text
 
 Vertex = tuple[int, int]
 Dir = tuple[int, int]
@@ -94,10 +94,6 @@ class TableSpec:
                 )
         elif self.side is not None:
             raise ValueError("side is only meaningful with bumpers")
-
-    @classmethod
-    def rect(cls, a: int, b: int) -> "TableSpec":
-        return cls(a, b)
 
     @classmethod
     def bumpered(cls, b: int, bumpers: int) -> "TableSpec":
@@ -396,21 +392,10 @@ class SignedDiagram:
     """A diagram with one over/under resolution per crossing slot."""
 
     def __init__(self, diagram: BilliardDiagram, signs: SignSeq | str):
-        if isinstance(signs, str):
-            signs = parse_signs(signs)
-        if len(signs) != diagram.slot_count:
-            raise ValueError(
-                f"sign sequence length {len(signs)} != slot count {diagram.slot_count}"
-            )
-        for i, s in enumerate(signs):
-            if (s is None) != (i in diagram.skip_positions):
-                raise ValueError(f"sign/skip mismatch at slot {i + 1}")
         self.diagram = diagram
-        self.signs = tuple(signs)
+        self.signs = check_signs(signs, diagram.slot_count, diagram.skip_positions)
         # Per crossing index (not slot), the sign.
-        self.crossing_signs = tuple(
-            s for s in signs if s is not None
-        )
+        self.crossing_signs = tuple(s for s in self.signs if s is not None)
 
     def signs_text(self) -> str:
         return signs_text(self.signs)

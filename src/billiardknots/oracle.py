@@ -36,12 +36,12 @@ from .terms import signs_text
 _PAIRING_V = ((SE, NE), (NW, SW))
 _PAIRING_H = ((NE, NW), (SW, SE))
 
-#: Default crossing-count limit of ``bracket_bruteforce``: one union-find run
-#: per state, 2^k states.
+#: Crossing-count limit of ``bracket_bruteforce``: one union-find run per
+#: state, 2^k states.
 ORACLE_LIMIT = 24
 
-#: Default crossing-count limit of ``bracket_all_signs``: the sweep holds a
-#: 2^k loop table and serves 2^k sign assignments from it.
+#: Crossing-count limit of ``bracket_all_signs``: the sweep holds a 2^k loop
+#: table and serves 2^k sign assignments from it.
 SWEEP_LIMIT = 14
 
 
@@ -56,9 +56,7 @@ def _arc_pairings(d: BilliardDiagram) -> list[tuple[tuple[int, int], ...]]:
 
 
 def bracket_bruteforce(
-    sd: SignedDiagram,
-    limit: int = ORACLE_LIMIT,
-    order: Optional[Sequence[int]] = None,
+    sd: SignedDiagram, order: Optional[Sequence[int]] = None
 ) -> LaurentPoly:
     """Kauffman bracket by summing all 2^k smoothing states.
 
@@ -67,8 +65,8 @@ def bracket_bruteforce(
     """
     d = sd.diagram
     k = d.crossing_count
-    if k > limit:
-        raise ValueError(f"crossing count {k} exceeds the oracle limit {limit}")
+    if k > ORACLE_LIMIT:
+        raise ValueError(f"crossing count {k} exceeds the oracle limit {ORACLE_LIMIT}")
     if not k:
         return delta_power(d.component_count() - 1)
 
@@ -117,9 +115,9 @@ def bracket_bruteforce(
     return total
 
 
-def jones(sd: SignedDiagram, limit: int = ORACLE_LIMIT) -> QuarterPoly:
+def jones(sd: SignedDiagram) -> QuarterPoly:
     """Jones polynomial: writhe-normalized bracket with A = t^(-1/4)."""
-    return jones_normalize(bracket_bruteforce(sd, limit), writhe_direct(sd))
+    return jones_normalize(bracket_bruteforce(sd), writhe_direct(sd))
 
 
 def sign_sequences(d: BilliardDiagram) -> Iterator[str]:
@@ -151,9 +149,7 @@ def _loops_table(d: BilliardDiagram) -> np.ndarray:
     return (lab == arcs).sum(axis=1)
 
 
-def bracket_all_signs(
-    d: BilliardDiagram, limit: int = SWEEP_LIMIT
-) -> dict[str, LaurentPoly]:
+def bracket_all_signs(d: BilliardDiagram) -> dict[str, LaurentPoly]:
     """Brute-force bracket for every sign assignment of the diagram.
 
     k doubling passes over arc-label arrays fill the loop table
@@ -164,8 +160,8 @@ def bracket_all_signs(
     and the loop table against a plain union-find.
     """
     k = d.crossing_count
-    if k > limit:
-        raise ValueError(f"crossing count {k} exceeds the sweep limit {limit}")
+    if k > SWEEP_LIMIT:
+        raise ValueError(f"crossing count {k} exceeds the sweep limit {SWEEP_LIMIT}")
     base = delta_power(d.component_count() - 1)
     if not k:
         return {signs_text((None,) * d.slot_count): base}

@@ -1,10 +1,11 @@
 """Executable tuple calculus for bracket expansions.
 
 A bracket expansion for a family of diagrams with indeterminate crossing
-signs is a sum of *slot terms*: each term is a global Laurent scalar times
-one factor per crossing slot, and each factor is a function of that slot's
-sign alone.  Evaluating the sum against a concrete sign sequence produces the
-exact Kauffman bracket of that signed diagram.
+signs is a sum of *slot terms*: each term is a power of δ times one factor
+per crossing slot, and each factor is a function of that slot's sign alone
+(a term's sign comes from its f2 factors).  Evaluating the sum against a
+concrete sign sequence produces the exact Kauffman bracket of that signed
+diagram.
 
 Factor alphabet (s is the slot sign, +1 or -1):
 
@@ -28,7 +29,8 @@ _) and the named blocks (C, X, K, L, M, N, Ñ, R, R̃, S, g2, h2, f3).  The
 indexed blocks (P'_i, P~'_i, Q_i, h_m) are spelled over these symbols in
 ``recursions``, which resolves every spelling to a flat term sum;
 evaluation never recurses.  ``add_all`` sums any number of term sums in one
-pass, validating the widths and skip layouts once.
+pass, validating the widths and skip layouts once.  ``check_signs`` is the
+one check of a sign sequence against a slot grid.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .laurent import DELTA, LaurentPoly, delta_power
+from .laurent import LaurentPoly, delta_power
 
 Sign = int  # +1, -1, or None for a skipped slot
 SignSeq = tuple  # tuple of Sign
@@ -74,59 +76,33 @@ def signs_text(signs: SignSeq) -> str:
     return "".join("+" if s == 1 else "-" if s == -1 else "_" for s in signs)
 
 
+def check_signs(signs: SignSeq | str, width: int, skips: frozenset[int]) -> SignSeq:
+    """Parse ``signs`` if it is text, then check it against a slot grid of
+    ``width`` slots whose skipped positions are exactly ``skips``."""
+    if isinstance(signs, str):
+        signs = parse_signs(signs)
+    if len(signs) != width:
+        raise ValueError(f"sign sequence length {len(signs)} != slot width {width}")
+    for i, s in enumerate(signs):
+        if (s is None) != (i in skips):
+            raise ValueError(f"sign/skip mismatch at slot {i + 1}")
+    return tuple(signs)
+
+
 @dataclass(frozen=True)
 class SlotTerm:
-    """A scalar times one factor per slot; evaluation multiplies them out."""
+    """δ^delta times one factor per slot."""
 
-    scalar: LaurentPoly
+    delta: int
     factors: tuple[Factor, ...]
 
     @property
     def width(self) -> int:
         return len(self.factors)
 
-    def evaluate(self, signs: SignSeq) -> LaurentPoly:
-        exponent = 0
-        negate = False
-        for f, s in zip(self.factors, signs):
-            if f is Factor.SKIP:
-                if s is not None:
-                    raise ValueError("skip factor over a real crossing slot")
-                continue
-            if s is None:
-                raise ValueError("sign missing at a real crossing slot")
-            exponent += _WEIGHT[f] * s
-            negate ^= _NEGATIVE[f]
-        return self.scalar * LaurentPoly.monomial(exponent, -1 if negate else 1)
-
     def render(self) -> str:
-        body = ",".join(_FACTOR_TEXT[f] for f in self.factors)
-        prefix = _scalar_prefix(self.scalar)
-        return f"{prefix}({body})"
-
-
-def _scalar_prefix(scalar: LaurentPoly) -> str:
-    if scalar == LaurentPoly.one():
-        return ""
-    sign, k = _as_delta_power(scalar)
-    if k is not None:
-        mark = "-" if sign < 0 else ""
-        return f"{mark}δ^{k}" if k > 1 else f"{mark}δ"
-    return f"[{scalar.text()}]·"
-
-
-def _as_delta_power(scalar: LaurentPoly) -> tuple[int, int | None]:
-    """Decompose scalar as sign * delta^k, or (1, None) when not of that shape."""
-    # delta^k tops out at A^(2k), so the top exponent fixes the only candidate k.
-    top = max(scalar.terms, default=-1)
-    if top < 0 or top % 2:
-        return 1, None
-    dk = delta_power(top // 2)
-    if scalar == dk:
-        return 1, top // 2
-    if scalar == -dk:
-        return -1, top // 2
-    return 1, None
+        prefix = "δ" if self.delta == 1 else f"δ^{self.delta}" if self.delta else ""
+        return f"{prefix}({','.join(_FACTOR_TEXT[f] for f in self.factors)})"
 
 
 class TermSum:
@@ -147,6 +123,8 @@ class TermSum:
         self.width = width
         skips: set[int] | None = None
         for t in self.terms:
+            if not isinstance(t.delta, int) or t.delta < 0:
+                raise ValueError(f"delta exponent must be an int >= 0, got {t.delta!r}")
             if t.width != self.width:
                 raise ValueError(
                     f"inconsistent widths: {t.width} vs {self.width}"
@@ -164,34 +142,23 @@ class TermSum:
     def __add__(self, other: "TermSum") -> "TermSum":
         return add_all((self, other))
 
-    def scale(self, scalar: LaurentPoly) -> "TermSum":
-        return TermSum(
-            (SlotTerm(t.scalar * scalar, t.factors) for t in self.terms), self.width
-        )
-
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
-        if isinstance(signs, str):
-            signs = parse_signs(signs)
-        if len(signs) != self.width:
-            raise ValueError(
-                f"sign sequence length {len(signs)} != slot width {self.width}"
-            )
-        for i, s in enumerate(signs):
-            if (s is None) != (i in self.skip_positions):
-                raise ValueError(f"sign/skip mismatch at slot {i + 1}")
+        signs = check_signs(signs, self.width, self.skip_positions)
+        vec = [0 if s is None else s for s in signs]
         total = LaurentPoly.zero()
         for t in self.terms:
-            total = total + t.evaluate(signs)
+            exponent = 0
+            negate = False
+            for f, s in zip(t.factors, vec):
+                exponent += _WEIGHT[f] * s
+                negate ^= _NEGATIVE[f]
+            term = LaurentPoly.monomial(exponent, -1 if negate else 1)
+            total = total + term * delta_power(t.delta)
         return total
 
     def canonical(self) -> tuple:
-        """Order-free fingerprint: the multiset of (factors, scalar) pairs."""
-        return tuple(
-            sorted(
-                (t.factors, tuple(sorted(t.scalar.terms.items())))
-                for t in self.terms
-            )
-        )
+        """Order-free fingerprint: the multiset of (factors, delta) pairs."""
+        return tuple(sorted((t.factors, t.delta) for t in self.terms))
 
     def render(self) -> str:
         return "+".join(t.render() for t in self.terms) if self.terms else "0"
@@ -221,21 +188,19 @@ def product(*sums: TermSum) -> TermSum:
     terms = EMPTY.terms
     for s in sums:
         terms = [
-            SlotTerm(p.scalar * q.scalar, p.factors + q.factors)
+            SlotTerm(p.delta + q.delta, p.factors + q.factors)
             for p in terms
             for q in s.terms
         ]
     return TermSum(terms, sum(s.width for s in sums))
 
 
-def _single(*factors: Factor, scalar: LaurentPoly | None = None) -> TermSum:
-    return TermSum([SlotTerm(scalar or LaurentPoly.one(), tuple(factors))])
+def _single(*factors: Factor, delta: int = 0) -> TermSum:
+    return TermSum([SlotTerm(delta, factors)])
 
-
-ONE = LaurentPoly.one()
 
 #: Width-0 multiplicative unit.
-EMPTY = TermSum([SlotTerm(ONE, ())], 0)
+EMPTY = _single()
 
 APM = _single(Factor.APM)
 AMP = _single(Factor.AMP)
@@ -248,20 +213,20 @@ C_BLOCK = _single(Factor.APM, Factor.APM) + _single(Factor.F2MP, Factor.AMP)
 
 #: X = δ[A^±,A^±] + [A^±,A^∓] + [A^∓,A^±]; 1 - A^(±4) on equal signs, else 0.
 X_BLOCK = (
-    _single(Factor.APM, Factor.APM, scalar=DELTA)
+    _single(Factor.APM, Factor.APM, delta=1)
     + _single(Factor.APM, Factor.AMP)
     + _single(Factor.AMP, Factor.APM)
 )
 
 #: g2 = [X] + δ[A^∓,A^∓], the two-slot denominator-closed 3xN-table base value.
-G2_BLOCK = X_BLOCK + _single(Factor.AMP, Factor.AMP, scalar=DELTA)
+G2_BLOCK = X_BLOCK + _single(Factor.AMP, Factor.AMP, delta=1)
 
 #: h2 = (A^±,A^±) + δ(A^±,A^∓) + δ(A^∓,A^±) + δ²(A^∓,A^∓).
 H2_BLOCK = (
     _single(Factor.APM, Factor.APM)
-    + _single(Factor.APM, Factor.AMP, scalar=DELTA)
-    + _single(Factor.AMP, Factor.APM, scalar=DELTA)
-    + _single(Factor.AMP, Factor.AMP, scalar=delta_power(2))
+    + _single(Factor.APM, Factor.AMP, delta=1)
+    + _single(Factor.AMP, Factor.APM, delta=1)
+    + _single(Factor.AMP, Factor.AMP, delta=2)
 )
 
 #: f3 = (f2^±,A^±) + (f2^∓,A^∓).
@@ -302,10 +267,9 @@ BLOCKS: dict[str, TermSum] = {
 class CompiledTermSum:
     """Vectorized evaluator for a flat term sum.
 
-    Each term's scalar must be ±delta^k (true for every expansion built from
-    the block alphabet); the per-slot factors contribute a signed A-exponent
-    that is linear in the sign vector, so one matrix product evaluates all
-    terms at once.
+    The per-slot factors contribute a signed A-exponent that is linear in
+    the sign vector, so one matrix product evaluates all terms at once; each
+    δ-power then multiplies the sum of its terms once.
     """
 
     def __init__(self, ts: TermSum):
@@ -316,25 +280,17 @@ class CompiledTermSum:
         self.signs = np.zeros(n, dtype=np.int64)
         self.delta_pows = np.zeros(n, dtype=np.int64)
         for r, t in enumerate(ts.terms):
-            sgn, k = _as_delta_power(t.scalar)
-            if k is None:
-                raise ValueError("term scalar is not ±delta^k; use TermSum.evaluate")
+            sgn = 1
             for col, f in enumerate(t.factors):
                 self.weights[r, col] = _WEIGHT[f]
                 if _NEGATIVE[f]:
                     sgn = -sgn
             self.signs[r] = sgn
-            self.delta_pows[r] = k
+            self.delta_pows[r] = t.delta
         self.max_k = int(self.delta_pows.max(initial=0))
 
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
-        if isinstance(signs, str):
-            signs = parse_signs(signs)
-        if len(signs) != self.width:
-            raise ValueError("sign sequence length != slot width")
-        for i, s in enumerate(signs):
-            if (s is None) != (i in self.skip_positions):
-                raise ValueError(f"sign/skip mismatch at slot {i + 1}")
+        signs = check_signs(signs, self.width, self.skip_positions)
         vec = np.array([0 if s is None else s for s in signs], dtype=np.int64)
         exps = self.weights @ vec
         total = LaurentPoly.zero()

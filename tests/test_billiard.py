@@ -68,7 +68,7 @@ def test_coprime_crossing_formula():
 
 
 def test_unknot_table():
-    d = BilliardDiagram(TableSpec.rect(3, 1))
+    d = BilliardDiagram(TableSpec(3, 1))
     assert d.crossing_count == 0
     assert d.component_count() == 1
 

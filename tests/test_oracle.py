@@ -5,6 +5,8 @@ import pytest
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, QuarterPoly
 from billiardknots.oracle import (
+    ORACLE_LIMIT,
+    SWEEP_LIMIT,
     _arc_pairings,
     _loops_table,
     bracket_all_signs,
@@ -94,11 +96,14 @@ def test_smoothing_order_independence():
 
 
 def test_crossing_limit():
-    sd = diagram(5, 4).assign_signs("++--+-")
-    with pytest.raises(ValueError, match="limit"):
-        bracket_bruteforce(sd, limit=5)
-    with pytest.raises(ValueError, match="limit"):
-        bracket_all_signs(diagram(5, 4), limit=5)
+    over_oracle = diagram(5, 14)
+    assert over_oracle.crossing_count == 26 > ORACLE_LIMIT
+    with pytest.raises(ValueError, match="oracle limit"):
+        bracket_bruteforce(over_oracle.assign_signs("+-" * 13))
+    over_sweep = diagram(5, 9)
+    assert over_sweep.crossing_count == 16 > SWEEP_LIMIT
+    with pytest.raises(ValueError, match="sweep limit"):
+        bracket_all_signs(over_sweep)
 
 
 def test_all_signs_matches_bruteforce():

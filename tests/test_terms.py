@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, delta_power
-from billiardknots.recursions import expand_block, h_terms
+from billiardknots.recursions import b_terms, bt_terms, expand_block, h_terms
 from billiardknots.terms import (
     AMP,
     APM,
@@ -20,7 +21,6 @@ from billiardknots.terms import (
     SlotTerm,
     TermSum,
     X_BLOCK,
-    _as_delta_power,
     add_all,
     parse_signs,
     product,
@@ -108,21 +108,27 @@ def test_p2_blocks_flat_shape():
 
 
 def test_eval_errors():
-    with pytest.raises(ValueError, match="length"):
-        H2_BLOCK.evaluate("+")
-    with pytest.raises(ValueError, match="skip"):
-        TermSum([SlotTerm(LaurentPoly.one(), (Factor.SKIP, Factor.APM))]).evaluate("++")
-    with pytest.raises(ValueError, match="skip"):
-        H2_BLOCK.evaluate("+_")
+    skip_first = TermSum([SlotTerm(0, (Factor.SKIP, Factor.APM))])
+    evaluators = [
+        (H2_BLOCK.evaluate, skip_first.evaluate),
+        (CompiledTermSum(H2_BLOCK).evaluate, CompiledTermSum(skip_first).evaluate),
+        (diagram(3, 3).assign_signs, diagram(5, 2, bumpers=2).assign_signs),
+    ]
+    for plain, skipped in evaluators:
+        with pytest.raises(ValueError, match="length"):
+            plain("+")
+        with pytest.raises(ValueError, match="sign/skip mismatch at slot 1"):
+            skipped("++")
+        with pytest.raises(ValueError, match="sign/skip mismatch at slot 2"):
+            plain("+_")
     with pytest.raises(ValueError, match="bad sign"):
         parse_signs("+x")
 
 
 def test_term_sum_width_consistency():
-    one = LaurentPoly.one()
-    narrow, wide = SlotTerm(one, (Factor.APM,)), SlotTerm(one, (Factor.APM, Factor.APM))
-    skip_first = SlotTerm(one, (Factor.SKIP, Factor.APM))
-    skip_last = SlotTerm(one, (Factor.APM, Factor.SKIP))
+    narrow, wide = SlotTerm(0, (Factor.APM,)), SlotTerm(0, (Factor.APM, Factor.APM))
+    skip_first = SlotTerm(0, (Factor.SKIP, Factor.APM))
+    skip_last = SlotTerm(0, (Factor.APM, Factor.SKIP))
     builders = [
         TermSum,
         lambda terms: add_all(TermSum([t]) for t in terms),
@@ -134,11 +140,59 @@ def test_term_sum_width_consistency():
             build([skip_first, skip_last])
 
 
-def test_scale_and_render():
-    scaled = H2_BLOCK.scale(DELTA)
-    assert scaled.evaluate("+-") == DELTA
-    text = H2_BLOCK.render()
-    assert text == "(A^±,A^±)+δ(A^±,A^∓)+δ(A^∓,A^±)+δ^2(A^∓,A^∓)"
+def test_negative_delta_rejected():
+    for delta in (-1, 1.0, None):
+        with pytest.raises(ValueError, match="delta"):
+            TermSum([SlotTerm(delta, (Factor.APM,))])
+
+
+def test_render():
+    assert H2_BLOCK.render() == "(A^±,A^±)+δ(A^±,A^∓)+δ(A^∓,A^±)+δ^2(A^∓,A^∓)"
+    # Flat products of blocks: a skip slot in b4, δ-powers up to 3 in bt3.
+    assert h_terms(3).render() == (
+        "(A^±,A^±,A^±,A^±)+"
+        "δ(A^±,A^∓,A^±,A^±)+"
+        "δ(A^∓,A^±,A^±,A^±)+"
+        "δ^2(A^∓,A^∓,A^±,A^±)+"
+        "(f2^∓,f2^∓,A^∓,A^∓)+"
+        "δ(A^±,A^±,A^±,A^∓)+"
+        "(A^±,A^∓,A^±,A^∓)+"
+        "(A^∓,A^±,A^±,A^∓)+"
+        "δ(A^∓,A^∓,A^±,A^∓)+"
+        "(f2^∓,f2^±,A^∓,A^±)"
+    )
+    assert b_terms(4).render() == (
+        "(A^±,A^±,A^±,A^±,_,A^±)+"
+        "δ(A^±,A^∓,A^±,A^±,_,A^±)+"
+        "δ(A^∓,A^±,A^±,A^±,_,A^±)+"
+        "δ^2(A^∓,A^∓,A^±,A^±,_,A^±)+"
+        "(f2^∓,f2^∓,A^∓,A^∓,_,A^±)+"
+        "δ(A^±,A^±,A^±,A^∓,_,A^±)+"
+        "(A^±,A^∓,A^±,A^∓,_,A^±)+"
+        "(A^∓,A^±,A^±,A^∓,_,A^±)+"
+        "δ(A^∓,A^∓,A^±,A^∓,_,A^±)+"
+        "(f2^∓,f2^±,A^∓,A^±,_,A^±)+"
+        "(A^±,A^±,A^±,f2^∓,_,A^∓)+"
+        "δ(A^±,A^∓,A^±,f2^∓,_,A^∓)+"
+        "δ(A^∓,A^±,A^±,f2^∓,_,A^∓)+"
+        "δ^2(A^∓,A^∓,A^±,f2^∓,_,A^∓)+"
+        "(f2^∓,f2^±,A^∓,f2^∓,_,A^∓)"
+    )
+    assert bt_terms(3).render() == (
+        "δ(A^±,A^±,A^±,A^±)+"
+        "(A^±,A^±,A^±,A^∓)+"
+        "(A^±,A^±,A^∓,A^±)+"
+        "δ^2(A^±,A^∓,A^±,A^±)+"
+        "δ(A^±,A^∓,A^±,A^∓)+"
+        "δ(A^±,A^∓,A^∓,A^±)+"
+        "δ^2(A^∓,A^±,A^±,A^±)+"
+        "δ(A^∓,A^±,A^±,A^∓)+"
+        "δ(A^∓,A^±,A^∓,A^±)+"
+        "δ^3(A^∓,A^∓,A^±,A^±)+"
+        "δ^2(A^∓,A^∓,A^±,A^∓)+"
+        "δ^2(A^∓,A^∓,A^∓,A^±)+"
+        "(f2^±,f2^∓,A^∓,A^∓)"
+    )
 
 
 def test_compiled_matches_plain_evaluation():
@@ -159,12 +213,10 @@ def test_compiled_exhaustive_small():
 
 
 def test_delta_power_decomposition_past_64():
-    d70 = delta_power(70)
-    assert _as_delta_power(d70) == (1, 70)
-    assert _as_delta_power(-d70) == (-1, 70)
-    assert _as_delta_power(LaurentPoly.one()) == (1, 0)
-    for scalar in (A(2), A(140), d70 + 1, d70 * 2, LaurentPoly.zero(), A(-2)):
-        assert _as_delta_power(scalar) == (1, None)
-    scaled = H2_BLOCK.scale(-d70)
-    assert scaled.render().startswith("-δ^70(A^±,A^±)")
-    assert CompiledTermSum(scaled).evaluate("+-") == scaled.evaluate("+-")
+    scaled = TermSum(
+        [SlotTerm(70, (Factor.APM, Factor.F2MP)), SlotTerm(0, (Factor.AMP, Factor.APM))]
+    )
+    assert scaled.render() == "δ^70(A^±,f2^∓)+(A^∓,A^±)"
+    for signs in ("++", "+-", "-+", "--"):
+        assert CompiledTermSum(scaled).evaluate(signs) == scaled.evaluate(signs)
+    assert scaled.evaluate("+-") == A(-2) - A(-2) * delta_power(70)
