@@ -23,6 +23,7 @@ from .recursions import (
     f_terms,
     h_skeletons,
     h_terms,
+    padovan,
     render_b,
     render_bt,
     render_f,
@@ -43,6 +44,29 @@ FAMILIES = {
     "b": (5, 2, b_terms, render_b),
     "bt": (5, 1, bt_terms, render_bt),
 }
+
+
+#: Size limit of ``terms`` and ``tilings``, checked before anything is built:
+#: the f family's summand count padovan(n + 4), or the h family's skeleton
+#: count 2^(n - 4) (for b and bt, that of their h<n-1> prefix).  The largest
+#: build it admits, ``terms --family bt --n 13``, takes ~6.5 s and ~430 MB on
+#: a 2-vCPU VM.
+EXPANSION_LIMIT = 256
+
+
+def _check_expansion_size(family: str, n: int) -> None:
+    # Each count passes the limit long before n does, so clamping n keeps
+    # the count itself cheap to compute for any n.
+    m = min(n, EXPANSION_LIMIT)
+    if family == "f":
+        size, what = padovan(max(m + 4, 0)), "summands"
+    else:
+        size, what = 2 ** max(m - (4 if family == "h" else 5), 0), "skeletons"
+    if size > EXPANSION_LIMIT:
+        raise ValueError(
+            f"the {family} expansion at n={n} has more than "
+            f"EXPANSION_LIMIT = {EXPANSION_LIMIT} {what}"
+        )
 
 
 def _closed_form(spec: TableSpec) -> TermSum | None:
@@ -105,6 +129,7 @@ def cmd_jones(args) -> int:
 def cmd_terms(args) -> int:
     family, n = args.family, args.n
     _, _, terms, render = FAMILIES[family]
+    _check_expansion_size(family, n)
     ts = terms(n)
     rendered = render(n)
     counts = {"slot_width": ts.width, "flat_terms": len(ts.terms)}
@@ -261,6 +286,7 @@ def cmd_bench(args) -> int:
 
 def cmd_tilings(args) -> int:
     b = args.b
+    _check_expansion_size("f", b)
     tilings = enumerate_term_tilings(b)
     rendered = render_tilings(b)
     expansion = f_terms(b)

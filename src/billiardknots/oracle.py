@@ -22,9 +22,10 @@ since it is the oracle the fast paths are judged against.
 from __future__ import annotations
 
 from itertools import islice, product as iproduct
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .billiard import NE, NW, SE, SW, BilliardDiagram, SignedDiagram, writhe_direct
 from .laurent import LaurentPoly, QuarterPoly, delta_power, jones_normalize
@@ -136,6 +137,8 @@ def _loops_table(d: BilliardDiagram) -> np.ndarray:
     relabelling per merged pair, and stacks the halves, so bit c of the row
     index picks crossing c's pairing.
     """
+    import numpy as np  # imported where used; see terms.CompiledTermSum
+
     arcs = np.arange(d.arc_count)
     lab = arcs[None, :]
     for pairing in _arc_pairings(d):
@@ -159,6 +162,8 @@ def bracket_all_signs(d: BilliardDiagram) -> dict[str, LaurentPoly]:
     The tests cross-check this against per-state ``bracket_bruteforce`` runs
     and the loop table against a plain union-find.
     """
+    import numpy as np  # imported where used; see terms.CompiledTermSum
+
     k = d.crossing_count
     if k > SWEEP_LIMIT:
         raise ValueError(f"crossing count {k} exceeds the sweep limit {SWEEP_LIMIT}")

@@ -29,8 +29,12 @@ _) and the named blocks (C, X, K, L, M, N, Ñ, R, R̃, S, g2, h2, f3).  The
 indexed blocks (P'_i, P~'_i, Q_i, h_m) are spelled over these symbols in
 ``recursions``, which resolves every spelling to a flat term sum;
 evaluation never recurses.  ``add_all`` sums any number of term sums in one
-pass, validating the widths and skip layouts once.  ``check_signs`` is the
-one check of a sign sequence against a slot grid.
+pass and ``product`` multiplies them out; both take the width and skip
+layout from their parts, so only the public ``TermSum`` constructor checks
+terms one by one.  ``TermSum.evaluate`` adds each term's signed A-monomial
+into one coefficient map per δ-power, then multiplies each map by its
+δ-power once.  ``check_signs`` is the one check of a sign sequence against a
+slot grid.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
-
-import numpy as np
 
 from .laurent import LaurentPoly, delta_power
 
@@ -136,6 +138,18 @@ class TermSum:
                 raise ValueError("terms disagree on skipped slot positions")
         self.skip_positions = frozenset(skips or ())
 
+    @classmethod
+    def _trusted(
+        cls, terms: tuple[SlotTerm, ...], width: int, skips: frozenset[int]
+    ) -> "TermSum":
+        """A term sum whose terms are already known valid, with the width and
+        skip layout they share; nothing is re-checked."""
+        ts = cls.__new__(cls)
+        ts.terms = terms
+        ts.width = width
+        ts.skip_positions = skips
+        return ts
+
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -145,15 +159,18 @@ class TermSum:
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
         signs = check_signs(signs, self.width, self.skip_positions)
         vec = [0 if s is None else s for s in signs]
-        total = LaurentPoly.zero()
+        by_delta: dict[int, dict[int, int]] = {}
         for t in self.terms:
             exponent = 0
             negate = False
             for f, s in zip(t.factors, vec):
                 exponent += _WEIGHT[f] * s
                 negate ^= _NEGATIVE[f]
-            term = LaurentPoly.monomial(exponent, -1 if negate else 1)
-            total = total + term * delta_power(t.delta)
+            acc = by_delta.setdefault(t.delta, {})
+            acc[exponent] = acc.get(exponent, 0) + (-1 if negate else 1)
+        total = LaurentPoly.zero()
+        for k, acc in by_delta.items():
+            total = total + LaurentPoly(acc) * delta_power(k)
         return total
 
     def canonical(self) -> tuple:
@@ -168,31 +185,43 @@ class TermSum:
 
 
 def add_all(parts: Iterable[TermSum]) -> TermSum:
-    """Sum of term sums in one pass: joins every part's terms and validates
-    the widths and skip layouts once, however many parts there are."""
+    """Sum of term sums in one pass: joins every part's terms and checks once
+    per part that the widths and skip layouts agree; the terms themselves
+    are not re-walked."""
     terms: list[SlotTerm] = []
-    width = None
+    width = skips = None
     for part in parts:
         if width is None:
             width = part.width
         elif part.width != width:
             raise ValueError("cannot add term sums of different widths")
+        if part.terms:
+            if skips is None:
+                skips = part.skip_positions
+            elif part.skip_positions != skips:
+                raise ValueError("cannot add term sums with different skip layouts")
         terms.extend(part.terms)
     if width is None:
         raise ValueError("width required for an empty term sum")
-    return TermSum(terms, width)
+    return TermSum._trusted(tuple(terms), width, skips or frozenset())
 
 
 def product(*sums: TermSum) -> TermSum:
-    """Juxtaposition of any number of term sums, validated once at the end."""
+    """Juxtaposition of any number of term sums.  The width and skip layout
+    come from the parts: each part's skips, shifted by its slot offset."""
     terms = EMPTY.terms
+    width = 0
+    skips: set[int] = set()
     for s in sums:
         terms = [
             SlotTerm(p.delta + q.delta, p.factors + q.factors)
             for p in terms
             for q in s.terms
         ]
-    return TermSum(terms, sum(s.width for s in sums))
+        skips.update(width + i for i in s.skip_positions)
+        width += s.width
+    # An empty sum has no terms to carry skips, as in the TermSum constructor.
+    return TermSum._trusted(tuple(terms), width, frozenset(skips) if terms else frozenset())
 
 
 def _single(*factors: Factor, delta: int = 0) -> TermSum:
@@ -273,6 +302,11 @@ class CompiledTermSum:
     """
 
     def __init__(self, ts: TermSum):
+        # numpy is imported by the code that uses it, here and in the oracle
+        # sweep: loading it costs more than a whole closed-form bracket
+        # query, which never needs it.
+        import numpy as np
+
         self.width = ts.width
         self.skip_positions = ts.skip_positions
         n = len(ts.terms)
@@ -290,6 +324,8 @@ class CompiledTermSum:
         self.max_k = int(self.delta_pows.max(initial=0))
 
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
+        import numpy as np
+
         signs = check_signs(signs, self.width, self.skip_positions)
         vec = np.array([0 if s is None else s for s in signs], dtype=np.int64)
         exps = self.weights @ vec

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import billiardknots
 from billiardknots.billiard import diagram, writhe_direct
-from billiardknots.cli import main
+from billiardknots.cli import EXPANSION_LIMIT, main
 from billiardknots.laurent import jones_normalize
 from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
 from billiardknots.recursions import b_terms, bt_terms, f_terms, h_terms, skeletons_json
@@ -125,6 +130,46 @@ def test_bench_over_oracle_limit_exit_2(capsys):
     assert time.perf_counter() - start < 5
     assert code == 2
     assert "26 crossings" in err and f"oracle limit {ORACLE_LIMIT}" in err
+
+
+def test_oversized_expansion_exit_2(capsys):
+    # Both would hang or exhaust memory if built; the closed-form counts stop
+    # them first.
+    for argv in (("tilings", "--b", "60"), ("terms", "--family", "h", "--n", "22"),
+                 ("terms", "--family", "bt", "--n", "14"),
+                 ("terms", "--family", "f", "--n", str(10**9))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"EXPANSION_LIMIT = {EXPANSION_LIMIT}" in err
+
+
+def test_closed_form_routes_do_not_load_numpy():
+    script = """
+import sys
+def numpy_loaded(step):
+    print("@", step, "numpy" in sys.modules)
+import billiardknots
+numpy_loaded("import")
+from billiardknots import cli
+cli.main(["bracket", "--b", "6", "--signs", "++--++--++"])
+numpy_loaded("bracket")
+cli.main(["jones", "--b", "4", "--bumpers", "2", "--signs", "+-++_-"])
+numpy_loaded("jones")
+sd = billiardknots.diagram(3, 5).assign_signs("+-+-")
+billiardknots.bracket_bruteforce(sd)
+numpy_loaded("bracket_bruteforce")
+billiardknots.bracket_all_signs(sd.diagram)
+numpy_loaded("bracket_all_signs")
+"""
+    src = str(Path(billiardknots.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = [line[2:] for line in proc.stdout.splitlines() if line.startswith("@ ")]
+    assert loaded == ["import False", "bracket False", "jones False",
+                      "bracket_bruteforce False", "bracket_all_signs True"]
 
 
 def test_non_planar_table_exit_2(capsys):

@@ -5,10 +5,11 @@ import pytest
 
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, delta_power
-from billiardknots.recursions import b_terms, bt_terms, expand_block, h_terms
+from billiardknots.recursions import b_terms, bt_terms, expand_block, f_terms, h_terms
 from billiardknots.terms import (
     AMP,
     APM,
+    BLOCKS,
     C_BLOCK,
     EMPTY,
     F2MP,
@@ -16,6 +17,7 @@ from billiardknots.terms import (
     F3_BLOCK,
     G2_BLOCK,
     H2_BLOCK,
+    SKIP,
     CompiledTermSum,
     Factor,
     SlotTerm,
@@ -28,6 +30,7 @@ from billiardknots.terms import (
 
 A = LaurentPoly.monomial
 H3 = expand_block("h3")
+FAMILIES = {"f": f_terms, "h": h_terms, "b": b_terms, "bt": bt_terms}
 
 
 def test_factor_values():
@@ -220,3 +223,62 @@ def test_delta_power_decomposition_past_64():
     for signs in ("++", "+-", "-+", "--"):
         assert CompiledTermSum(scaled).evaluate(signs) == scaled.evaluate(signs)
     assert scaled.evaluate("+-") == A(-2) - A(-2) * delta_power(70)
+
+
+def test_built_sums_match_validated_construction():
+    # product and add_all derive width and skips from their parts; the public
+    # constructor recomputes them from the terms.
+    built = [fam(n) for fam in FAMILIES.values() for n in range(1, 10)]
+    for ts in built + list(BLOCKS.values()):
+        checked = TermSum(ts.terms, ts.width)
+        assert (checked.width, checked.skip_positions) == (ts.width, ts.skip_positions)
+    assert b_terms(4).skip_positions == {4}
+
+
+def test_add_all_rejects_mismatched_parts():
+    with pytest.raises(ValueError, match="width"):
+        add_all([H2_BLOCK, product(H2_BLOCK, APM)])
+    with pytest.raises(ValueError, match="skip"):
+        add_all([product(SKIP, X_BLOCK), product(X_BLOCK, SKIP)])
+    with pytest.raises(ValueError, match="skip"):
+        add_all([product(SKIP, APM), product(APM, APM)])
+
+
+def test_product_shifts_skips_by_offset():
+    ts = product(H2_BLOCK, SKIP, C_BLOCK, SKIP, APM)
+    assert ts.width == 7
+    assert ts.skip_positions == {2, 5}
+    assert TermSum(ts.terms, ts.width).skip_positions == {2, 5}
+    assert product(SKIP).skip_positions == {0}
+    assert product(EMPTY, SKIP, EMPTY, APM).skip_positions == {0}
+
+
+def _per_term_sum(ts, signs):
+    """Reference evaluation: one monomial per term, times its δ-power."""
+    value = {Factor.APM: (1, 1), Factor.AMP: (-1, 1), Factor.F2PM: (-3, -1),
+             Factor.F2MP: (3, -1), Factor.SKIP: (0, 1)}
+    total = LaurentPoly.zero()
+    for t in ts.terms:
+        exponent, coefficient = 0, 1
+        for f, s in zip(t.factors, signs):
+            weight, c = value[f]
+            exponent += weight * (s or 0)
+            coefficient *= c
+        total = total + A(exponent, coefficient) * delta_power(t.delta)
+    return total
+
+
+def test_evaluation_matches_per_term_reference():
+    rng = random.Random(20)
+    scaled = TermSum([SlotTerm(70, (Factor.APM, Factor.F2MP)),
+                      SlotTerm(3, (Factor.AMP, Factor.F2PM)),
+                      SlotTerm(70, (Factor.AMP, Factor.APM))])
+    sums = [fam(n) for fam in FAMILIES.values() for n in range(1, 10)] + [scaled]
+    for ts in sums:
+        compiled = CompiledTermSum(ts)
+        for _ in range(3):
+            signs = tuple(None if i in ts.skip_positions else rng.choice((1, -1))
+                          for i in range(ts.width))
+            want = _per_term_sum(ts, signs)
+            assert ts.evaluate(signs) == want
+            assert compiled.evaluate(signs) == want
