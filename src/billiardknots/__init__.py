@@ -6,13 +6,7 @@ over the combinatorial diagram (the oracle the expansions are checked
 against).
 """
 
-from .billiard import (
-    BilliardDiagram,
-    SignedDiagram,
-    TableSpec,
-    diagram,
-    writhe_direct,
-)
+from .billiard import BilliardDiagram, SignedDiagram, TableSpec, diagram
 from .laurent import (
     DELTA,
     LaurentPoly,
@@ -77,6 +71,5 @@ __all__ = [
     "parse_signs",
     "sign_sequences",
     "tiling_to_term",
-    "writhe_direct",
     "writhe_recursive",
 ]

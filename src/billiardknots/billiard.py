@@ -12,9 +12,10 @@ are exactly the 4-valent vertices: interior integer points with x == y
 Canonical crossing order is bottom-to-top within each column, columns left
 to right, i.e. sorted by (x, y).
 
-Bumpered tables remove one or two unit squares from the last column; the
-side is forced by a parity rule so that the notch's interior corner lands on
-the odd lattice, away from every crossing.
+Bumpered tables remove one or two unit squares from the last column, from
+the top exactly when (two bumpers) == (b odd) and from the bottom otherwise:
+this parity rule lands the notch's interior corner on the odd lattice, away
+from every crossing.
 
 Crossing signs: a sign sequence assigns '+' or '-' to each crossing slot.
 The global convention, calibrated once, is that '+' puts the NE-sloped
@@ -46,7 +47,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import SignSeq, check_signs, signs_text
+from .terms import SignSeq, check_signs
 
 Vertex = tuple[int, int]
 Dir = tuple[int, int]
@@ -65,15 +66,13 @@ def _slope(d: Dir) -> int:
 class TableSpec:
     """Size and bumper layout of a billiard table.
 
-    ``bumpers`` counts squares removed from the last column, ``side`` says
-    from which end.  The side must satisfy the parity rule (see module
-    docstring); :meth:`bumpered` picks it automatically.
+    ``bumpers`` counts squares removed from the last column; the parity rule
+    (see module docstring) derives the ``side`` they are removed from.
     """
 
     a: int
     b: int
     bumpers: int = 0
-    side: Optional[str] = None
 
     def __post_init__(self):
         if self.a not in (3, 4, 5):
@@ -82,23 +81,16 @@ class TableSpec:
             raise ValueError("table width b must be >= 1")
         if self.bumpers not in (0, 1, 2):
             raise ValueError("bumpers must be 0, 1 or 2")
-        if self.bumpers:
-            if self.a != 5:
-                raise ValueError("bumpered tables are only supported at a=5")
-            if self.side not in ("top", "bottom"):
-                raise ValueError("bumpered tables need side='top' or 'bottom'")
-            if self.side != _required_side(self.bumpers, self.b):
-                raise ValueError(
-                    "bumper side violates the parity rule: a crossing would "
-                    "sit at the notch's interior corner"
-                )
-        elif self.side is not None:
-            raise ValueError("side is only meaningful with bumpers")
+        if self.bumpers and self.a != 5:
+            raise ValueError("bumpered tables are only supported at a=5")
 
-    @classmethod
-    def bumpered(cls, b: int, bumpers: int) -> "TableSpec":
-        """The B1/B2 table of width b with the side chosen by the parity rule."""
-        return cls(5, b, bumpers, _required_side(bumpers, b))
+    @property
+    def side(self) -> Optional[str]:
+        """The end of the last column the bumpers take, "top" or "bottom",
+        by the parity rule; None without bumpers."""
+        if not self.bumpers:
+            return None
+        return "top" if (self.bumpers == 2) == (self.b % 2 == 1) else "bottom"
 
     def removed_squares(self) -> set[tuple[int, int]]:
         if not self.bumpers:
@@ -113,12 +105,6 @@ class TableSpec:
             return f"T({self.a},{self.b})"
         mark = "^" if self.side == "top" else "_"
         return f"B{mark}{self.bumpers}(5,{self.b})"
-
-
-def _required_side(bumpers: int, b: int) -> str:
-    if bumpers == 2:
-        return "top" if b % 2 == 1 else "bottom"
-    return "bottom" if b % 2 == 1 else "top"
 
 
 @dataclass
@@ -397,9 +383,6 @@ class SignedDiagram:
         # Per crossing index (not slot), the sign.
         self.crossing_signs = tuple(s for s in self.signs if s is not None)
 
-    def signs_text(self) -> str:
-        return signs_text(self.signs)
-
     def _over_under(self, index: int) -> tuple[Dir, Dir]:
         """Oriented directions of the over and under passes of a crossing."""
         c = self.diagram.crossings[index]
@@ -449,11 +432,5 @@ class SignedDiagram:
 
 
 def diagram(a: int, b: int, bumpers: int = 0) -> BilliardDiagram:
-    """Convenience builder; picks the bumper side by the parity rule."""
-    side = _required_side(bumpers, b) if bumpers else None
-    return BilliardDiagram(TableSpec(a, b, bumpers, side))
-
-
-def writhe_direct(sd: SignedDiagram) -> int:
-    """Sum of oriented crossing signs under the component orientation."""
-    return sd.writhe()
+    """Convenience builder for ``BilliardDiagram(TableSpec(a, b, bumpers))``."""
+    return BilliardDiagram(TableSpec(a, b, bumpers))

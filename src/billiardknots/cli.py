@@ -10,24 +10,23 @@ import json
 import sys
 import time
 
-from .billiard import TableSpec, diagram, writhe_direct
+from .billiard import BilliardDiagram, TableSpec, diagram
 from .laurent import coefficient_string, jones_normalize
 from .oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_all_signs, bracket_bruteforce
 from .recursions import (
-    b_summands,
     b_terms,
-    bt_summands,
     bt_terms,
+    bumpered_summands,
     count_f_terms,
     count_h_skeletons,
     f_terms,
-    h_skeletons,
     h_terms,
     padovan,
     render_b,
     render_bt,
     render_f,
     render_h,
+    skeletons_json,
 )
 from .terms import BLOCKS, CompiledTermSum, TermSum, add_all
 from .tiling import count_domino_tilings, enumerate_term_tilings, render_tilings, tiling_to_term
@@ -78,11 +77,17 @@ def _closed_form(spec: TableSpec) -> TermSum | None:
     return None
 
 
-def _recursion_terms(spec: TableSpec) -> TermSum:
-    ts = _closed_form(spec)
-    if ts is None:
-        raise ValueError("no closed-form expansion for this table; use --method oracle")
-    return ts
+def _diagram_within(spec: TableSpec, limit: int, what: str) -> BilliardDiagram:
+    """The diagram of ``spec``, refused when it has over ``limit`` crossings.
+
+    Every table has at least b - 1 crossings, so a wider one is refused
+    before it is traced.
+    """
+    d = BilliardDiagram(spec) if spec.b - 1 <= limit else None
+    if d is None or d.crossing_count > limit:
+        k = d.crossing_count if d else f"at least {spec.b - 1}"
+        raise ValueError(f"{spec.label()} has {k} crossings, over the {what} limit {limit}")
+    return d
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -99,7 +104,10 @@ def cmd_bracket(args) -> int:
     if args.method == "oracle":
         value = bracket_bruteforce(d.assign_signs(args.signs))
     else:
-        value = _recursion_terms(spec).evaluate(args.signs)
+        ts = _closed_form(spec)
+        if ts is None:
+            raise ValueError("no closed-form expansion for this table; use --method oracle")
+        value = ts.evaluate(args.signs)
     _emit(
         args,
         value.text(),
@@ -115,7 +123,7 @@ def cmd_jones(args) -> int:
     sd = d.assign_signs(args.signs)
     ts = _closed_form(spec)
     bracket = bracket_bruteforce(sd) if ts is None else ts.evaluate(args.signs)
-    writhe = writhe_direct(sd)
+    writhe = sd.writhe()
     value = jones_normalize(bracket, writhe)
     _emit(
         args,
@@ -128,7 +136,7 @@ def cmd_jones(args) -> int:
 
 def cmd_terms(args) -> int:
     family, n = args.family, args.n
-    _, _, terms, render = FAMILIES[family]
+    _, bumpers, terms, render = FAMILIES[family]
     _check_expansion_size(family, n)
     ts = terms(n)
     rendered = render(n)
@@ -137,11 +145,9 @@ def cmd_terms(args) -> int:
         counts["summands"] = count_f_terms(n)
     elif family == "h" and n >= 4:
         counts["skeletons"] = count_h_skeletons(n)
-        counts["skeleton_list"] = [sk.as_dict() for sk in h_skeletons(n)]
-    elif family == "b":
-        counts["summands"] = len(b_summands(n))
-    elif family == "bt":
-        counts["summands"] = len(bt_summands(n))
+        counts["skeleton_list"] = skeletons_json(n)
+    elif bumpers:
+        counts["summands"] = len(bumpered_summands(n, bumpers))
     text = rendered + "\n" + ", ".join(
         f"{k}={v}" for k, v in counts.items() if k != "skeleton_list"
     )
@@ -171,12 +177,7 @@ def cmd_pd(args) -> int:
 def cmd_verify(args) -> int:
     family = args.family
     a, bumpers, terms, _ = FAMILIES[family]
-    widest = diagram(a, args.max_n, bumpers=bumpers)
-    if widest.crossing_count > SWEEP_LIMIT:
-        raise ValueError(
-            f"--max-n {args.max_n}: {widest.spec.label()} has "
-            f"{widest.crossing_count} crossings, over the sweep limit {SWEEP_LIMIT}"
-        )
+    _diagram_within(TableSpec(a, args.max_n, bumpers), SWEEP_LIMIT, "sweep")
     mismatches = []
     checked = 0
     for n in range(1, args.max_n + 1):
@@ -229,13 +230,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    d = diagram(args.a, args.b, bumpers=args.bumpers)
-    spec = d.spec
+    spec = TableSpec(args.a, args.b, args.bumpers)
+    d = _diagram_within(spec, ORACLE_LIMIT, "oracle")
     k = d.crossing_count
-    if k > ORACLE_LIMIT:
-        raise ValueError(
-            f"{spec.label()} has {k} crossings, over the oracle limit {ORACLE_LIMIT}"
-        )
     signs = "".join(
         "_" if i in d.skip_positions else "++--"[i % 4] for i in range(d.slot_count)
     )

@@ -10,7 +10,21 @@ exponents stored as numerators over the fixed denominator 4.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
+
+
+def _render(monomials: Iterable[tuple[str, int]]) -> str:
+    """Join (variable text, nonzero coefficient) pairs like ``-A^5 - 2A + 3``;
+    an empty variable text is the constant term."""
+    parts: list[str] = []
+    for var, c in monomials:
+        mag = abs(c)
+        body = var if var and mag == 1 else f"{mag}{var}"
+        if parts:
+            parts.append(f" {'-' if c < 0 else '+'} {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return "".join(parts) or "0"
 
 
 class LaurentPoly:
@@ -122,23 +136,7 @@ class LaurentPoly:
 
     def text(self) -> str:
         """Render like ``-A^5 - A^-3 + A^-7``, highest exponent first."""
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for e in self.exponents():
-            c = self.terms[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "A" if e == 1 else f"A^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return _render(("" if e == 0 else "A" if e == 1 else f"A^{e}", c) for e, c in self)
 
     def json_pairs(self) -> list[list[int]]:
         """[[exponent, coefficient], ...] sorted descending by exponent."""
@@ -201,28 +199,14 @@ class QuarterPoly:
 
     def text(self) -> str:
         """Render like ``t + t^3 - t^4`` (ascending exponents, fractions reduced)."""
-        if not self.numers:
-            return "0"
-        parts: list[str] = []
-        for n in sorted(self.numers):
-            c = self.numers[n]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if n == 0:
-                body = str(mag)
-            else:
-                if n % 4 == 0:
-                    e = n // 4
-                    var = "t" if e == 1 else f"t^{e}"
-                else:
-                    d = 4 // gcd(abs(n), 4)
-                    var = f"t^({n * d // 4}/{d})"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+
+        def power(n: int) -> str:
+            if n % 4:
+                d = 4 // gcd(n, 4)
+                return f"t^({n * d // 4}/{d})"
+            return "" if n == 0 else "t" if n == 4 else f"t^{n // 4}"
+
+        return _render((power(n), self.numers[n]) for n in sorted(self.numers))
 
     def json_pairs(self) -> list[list[int]]:
         """[[numerator-of-quarter-exponent, coefficient], ...] ascending."""

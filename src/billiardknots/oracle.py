@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .billiard import NE, NW, SE, SW, BilliardDiagram, SignedDiagram, writhe_direct
+from .billiard import NE, NW, SE, SW, BilliardDiagram, SignedDiagram
 from .laurent import LaurentPoly, QuarterPoly, delta_power, jones_normalize
 from .terms import signs_text
 
@@ -118,7 +118,7 @@ def bracket_bruteforce(
 
 def jones(sd: SignedDiagram) -> QuarterPoly:
     """Jones polynomial: writhe-normalized bracket with A = t^(-1/4)."""
-    return jones_normalize(bracket_bruteforce(sd), writhe_direct(sd))
+    return jones_normalize(bracket_bruteforce(sd), sd.writhe())
 
 
 def sign_sequences(d: BilliardDiagram) -> Iterator[str]:

@@ -13,7 +13,8 @@ term sum; ``_family_terms`` multiplies out and sums a family's summands.
   from skeletons (i, composition of b-1-i): the three heads (h3, P̃<i-2>),
   (h2, P<i-1>) and (Q<i>), each followed by one P-block per composition part.
 * ``b_terms(n)``/``bt_terms(n)`` - the two- and one-bumper variants, with
-  skipped slots aligned to the table's missing crossings.
+  skipped slots aligned to the table's missing crossings; both are spelled
+  by ``bumpered_summands``, one rule over h<m> prefixes read from a table.
 
 Term counts obey closed formulas: the f-family count is a Padovan number
 (offset four) and the h-family skeleton count is 2^(b-4); both are asserted
@@ -39,7 +40,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
-from .billiard import diagram, writhe_direct
+from .billiard import diagram
 from .terms import BLOCKS, SignSeq, TermSum, add_all, parse_signs, product
 
 Spelling = tuple[tuple[str, ...], ...]
@@ -364,77 +365,53 @@ def render_h(b: int) -> str:
 # Bumpered families.
 # ---------------------------------------------------------------------------
 
-def b_summands(n: int) -> tuple[tuple[str, ...], ...]:
-    """Symbolic summands of the two-bumper expansion of width n."""
+#: One bumpered row per (bumpers, n % 2): the bridges after h<m> for even and
+#: odd d, the repeated block, the closing head and the suffix.
+_BUMPERED_ROWS = {
+    (2, 1): (("A^±", "L"), "K", "M", ()),
+    (2, 0): (("A^±", "L"), "K", "M", ("f2^∓", "_", "A^∓")),
+    (1, 1): (("X", "R̃"), "Ñ", "S", ()),
+    (1, 0): (("X", "R"), "N", "g2", ()),
+}
+
+
+def bumpered_summands(n: int, bumpers: int) -> Spelling:
+    """Symbolic summands of the two- or one-bumper expansion of width n.
+
+    With top = n-2 for two bumpers at even n (which first emit
+    (h<n-1>, _, A^±)) and n-1 otherwise, each m = top..1 at d = top-m gives
+    (h<m>, bridge[d % 2]), or the closing head alone at m = 1, followed by
+    the repeated block d//2 times and the suffix.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    bridges, repeat, close, suffix = _BUMPERED_ROWS[bumpers, n % 2]
     if n == 1:
         return ((),)
-    if n == 2:
+    if (bumpers, n) == (2, 2):
         return (("_", "f2^±"),)
     out: list[tuple[str, ...]] = []
-    if n % 2 == 1:
-        for m in range(n - 1, 1, -1):
-            d = n - 1 - m
-            if d % 2 == 0:
-                out.append((f"h{m}", "A^±") + ("K",) * (d // 2))
-            else:
-                out.append((f"h{m}", "L") + ("K",) * ((d - 1) // 2))
-        out.append(("M",) + ("K",) * ((n - 3) // 2))
-    else:
+    top = n - 1
+    if (bumpers, n % 2) == (2, 0):
         out.append((f"h{n - 1}", "_", "A^±"))
-        for m in range(n - 2, 1, -1):
-            d = n - 2 - m
-            if d % 2 == 0:
-                out.append(
-                    (f"h{m}", "A^±") + ("K",) * (d // 2) + ("f2^∓", "_", "A^∓")
-                )
-            else:
-                out.append(
-                    (f"h{m}", "L") + ("K",) * ((d - 1) // 2) + ("f2^∓", "_", "A^∓")
-                )
-        out.append(("M",) + ("K",) * ((n - 4) // 2) + ("f2^∓", "_", "A^∓"))
-    return tuple(out)
-
-
-def bt_summands(n: int) -> tuple[tuple[str, ...], ...]:
-    """Symbolic summands of the one-bumper (2-tangle) expansion of width n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return ((),)
-    if n == 2:
-        return (("g2",),)
-    out: list[tuple[str, ...]] = []
-    if n % 2 == 1:
-        for m in range(n - 1, 1, -1):
-            d = n - 1 - m
-            if d % 2 == 0:
-                out.append((f"h{m}", "X") + ("Ñ",) * (d // 2))
-            else:
-                out.append((f"h{m}", "R̃") + ("Ñ",) * ((d - 1) // 2))
-        out.append(("S",) + ("Ñ",) * ((n - 3) // 2))
-    else:
-        for m in range(n - 1, 1, -1):
-            d = n - 1 - m
-            if d % 2 == 0:
-                out.append((f"h{m}", "X") + ("N",) * (d // 2))
-            else:
-                out.append((f"h{m}", "R") + ("N",) * ((d - 1) // 2))
-        out.append(("g2",) + ("N",) * ((n - 2) // 2))
+        top = n - 2
+    for m in range(top, 0, -1):
+        d = top - m
+        head = (f"h{m}", bridges[d % 2]) if m > 1 else (close,)
+        out.append(head + (repeat,) * (d // 2) + suffix)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def b_terms(n: int) -> TermSum:
     """Two-bumper expansion; width 2n-3 for odd n, 2n-2 (one skip) for even."""
-    return _family_terms(b_summands(n))
+    return _family_terms(bumpered_summands(n, 2))
 
 
 @lru_cache(maxsize=None)
 def bt_terms(n: int) -> TermSum:
     """One-bumper expansion; width 2(n-1), no skips."""
-    return _family_terms(bt_summands(n))
+    return _family_terms(bumpered_summands(n, 1))
 
 
 def _render_summands(summands: Sequence[tuple[str, ...]]) -> str:
@@ -444,11 +421,11 @@ def _render_summands(summands: Sequence[tuple[str, ...]]) -> str:
 
 
 def render_b(n: int) -> str:
-    return _render_summands(b_summands(n))
+    return _render_summands(bumpered_summands(n, 2))
 
 
 def render_bt(n: int) -> str:
-    return _render_summands(bt_summands(n))
+    return _render_summands(bumpered_summands(n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +462,7 @@ def writhe_recursive(a: int, b: int, signs: SignSeq | str) -> int:
         if len(signs) != b - 1:
             raise ValueError("sign sequence length != b-1")
         if b <= 3:
-            return writhe_direct(diagram(3, b).assign_signs(signs))
+            return diagram(3, b).assign_signs(signs).writhe()
         base = b - 3
         head = writhe_recursive(3, base, signs[: base - 1])
         pat = _PAT3[base % 3]
@@ -496,7 +473,7 @@ def writhe_recursive(a: int, b: int, signs: SignSeq | str) -> int:
         if len(signs) != 2 * (b - 1):
             raise ValueError("sign sequence length != 2(b-1)")
         if b <= 5:
-            return writhe_direct(diagram(5, b).assign_signs(signs))
+            return diagram(5, b).assign_signs(signs).writhe()
         base = b - 5
         head = writhe_recursive(5, base, signs[: 2 * (base - 1)])
         pat = _PAT5[(base % 5, base % 2)]

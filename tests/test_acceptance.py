@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from billiardknots.billiard import diagram, writhe_direct
+from billiardknots.billiard import diagram
 from billiardknots.laurent import (
     DELTA,
     LaurentPoly,
@@ -61,7 +61,7 @@ def test_criterion_01_trefoil():
     for _ in range(5):
         t0 = time.perf_counter()
         bracket = bracket_bruteforce(sd)
-        w = writhe_direct(sd)
+        w = sd.writhe()
         v = jones_normalize(bracket, w)
         best = min(best, time.perf_counter() - t0)
     ok = (
@@ -186,7 +186,7 @@ def test_criterion_09_writhe_recursions():
         d = diagram(3, b)
         for combo in itertools.product((1, -1), repeat=b - 1):
             checked += 1
-            if writhe_recursive(3, b, combo) != writhe_direct(d.assign_signs(combo)):
+            if writhe_recursive(3, b, combo) != d.assign_signs(combo).writhe():
                 mismatches += 1
     rng = random.Random(2024)
     for b in range(1, 10):
@@ -197,7 +197,7 @@ def test_criterion_09_writhe_recursions():
         for _ in range(10_000):
             combo = tuple(rng.choice((1, -1)) for _ in range(k))
             checked += 1
-            if writhe_recursive(5, b, combo) != writhe_direct(d.assign_signs(combo)):
+            if writhe_recursive(5, b, combo) != d.assign_signs(combo).writhe():
                 mismatches += 1
     report(9, mismatches == 0, f"writhe recursion vs direct, {checked} cases, {mismatches} mismatches")
 

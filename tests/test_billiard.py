@@ -5,12 +5,7 @@ import re
 
 import pytest
 
-from billiardknots.billiard import (
-    BilliardDiagram,
-    TableSpec,
-    diagram,
-    writhe_direct,
-)
+from billiardknots.billiard import BilliardDiagram, TableSpec, diagram
 from billiardknots.laurent import LaurentPoly, delta_power, jones_normalize
 from billiardknots.oracle import bracket_bruteforce
 
@@ -92,7 +87,7 @@ def test_t42_two_long_components():
 
 
 def test_bumpered_shapes():
-    d = BilliardDiagram(TableSpec.bumpered(7, 2))
+    d = BilliardDiagram(TableSpec(5, 7, 2))
     assert d.component_count() == 1
     assert d.crossing_count == 11
     assert not d.skip_positions
@@ -117,7 +112,7 @@ def test_bumpered_height_is_not_substituted():
     for a, b, bump in [(3, 4, 2), (4, 5, 1), (3, 3, 1)]:
         with pytest.raises(ValueError, match="only supported at a=5"):
             diagram(a, b, bumpers=bump)
-    assert diagram(5, 4, bumpers=2).spec == TableSpec.bumpered(4, 2)
+    assert diagram(5, 4, bumpers=2).spec == TableSpec(5, 4, 2)
 
 
 def test_canonical_order_stable_and_sorted():
@@ -128,18 +123,35 @@ def test_canonical_order_stable_and_sorted():
 
 
 def test_parity_rule_rejections():
-    with pytest.raises(ValueError, match="parity"):
-        TableSpec(5, 7, bumpers=2, side="bottom")
-    with pytest.raises(ValueError, match="parity"):
-        TableSpec(5, 8, bumpers=2, side="top")
-    with pytest.raises(ValueError, match="parity"):
-        TableSpec(5, 7, bumpers=1, side="top")
-    with pytest.raises(ValueError, match="parity"):
-        TableSpec(5, 8, bumpers=1, side="bottom")
+    # The bumper side is derived: top exactly when (bumpers == 2) == (b odd).
+    assert TableSpec(5, 7, 2).side == "top"
+    assert TableSpec(5, 8, 2).side == "bottom"
+    assert TableSpec(5, 7, 1).side == "bottom"
+    assert TableSpec(5, 8, 1).side == "top"
+    assert TableSpec(5, 7).side is None
+    assert TableSpec(5, 7, 2).label() == "B^2(5,7)"
+    assert TableSpec(5, 8, 2).label() == "B_2(5,8)"
+    assert TableSpec(5, 7, 1).label() == "B_1(5,7)"
+    assert TableSpec(5, 8, 1).label() == "B^1(5,8)"
     with pytest.raises(ValueError):
-        TableSpec(3, 5, bumpers=1, side="bottom")
+        TableSpec(3, 5, bumpers=1)
     with pytest.raises(ValueError):
         TableSpec(6, 4)
+
+
+def test_every_table_has_at_least_b_minus_1_crossings():
+    # The CLI refuses widths past a crossing limit + 1 before tracing them.
+    built = 0
+    for a, bumpers in [(3, 0), (4, 0), (5, 0), (5, 1), (5, 2)]:
+        for b in range(1, 31):
+            try:
+                d = diagram(a, b, bumpers=bumpers)
+            except ValueError:
+                assert a == 4 and b % 8 == 4, (a, b)
+                continue
+            built += 1
+            assert d.crossing_count >= b - 1, d.spec.label()
+    assert built == 146
 
 
 def test_assign_signs_validation():
@@ -154,10 +166,10 @@ def test_assign_signs_validation():
 
 
 def test_writhe_examples():
-    assert writhe_direct(diagram(3, 1).assign_signs("")) == 0
-    assert writhe_direct(diagram(3, 4).assign_signs("+-+")) == 3
-    assert writhe_direct(diagram(3, 5).assign_signs("+-+-")) == 0
-    assert writhe_direct(diagram(3, 2).assign_signs("+")) == -1
+    assert diagram(3, 1).assign_signs("").writhe() == 0
+    assert diagram(3, 4).assign_signs("+-+").writhe() == 3
+    assert diagram(3, 5).assign_signs("+-+-").writhe() == 0
+    assert diagram(3, 2).assign_signs("+").writhe() == -1
 
 
 def test_euler_planarity():
@@ -255,7 +267,7 @@ def test_knot_jones_invariants():
                 "_" if i in d.skip_positions else rng.choice("+-") for i in range(d.slot_count)
             )
             sd = d.assign_signs(signs)
-            v = jones_normalize(bracket_bruteforce(sd), writhe_direct(sd))
+            v = jones_normalize(bracket_bruteforce(sd), sd.writhe())
             assert v.is_integral(), (d.spec.label(), signs)
             assert _omega_value(v) == (1, 0), (d.spec.label(), signs)
     assert {"B_1(5,3)", "B^1(5,4)", "B^1(5,8)"} <= checked

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import billiardknots
-from billiardknots.billiard import diagram, writhe_direct
+from billiardknots.billiard import diagram
 from billiardknots.cli import EXPANSION_LIMIT, main
 from billiardknots.laurent import jones_normalize
 from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
@@ -70,7 +70,7 @@ def test_jones_closed_form(capsys):
         assert code == 0
         data = json.loads(out)
         sd = diagram(a, b, bumpers=bumpers).assign_signs(signs)
-        writhe = writhe_direct(sd)
+        writhe = sd.writhe()
         assert data["writhe"] == writhe
         assert data["jones"] == jones_normalize(bracket_bruteforce(sd), writhe).json_pairs()
 
@@ -130,6 +130,18 @@ def test_bench_over_oracle_limit_exit_2(capsys):
     assert time.perf_counter() - start < 5
     assert code == 2
     assert "26 crossings" in err and f"oracle limit {ORACLE_LIMIT}" in err
+
+
+def test_oversized_width_exit_2_before_tracing(capsys):
+    # A table has at least b - 1 crossings, so these widths are refused
+    # without building a 3,000,000-column diagram.
+    for argv, limit in [(("verify", "--family", "f", "--max-n", "3000000"), "sweep"),
+                        (("bench", "--a", "3", "--b", "3000000"), "oracle")]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "at least 2999999 crossings" in err and f"{limit} limit" in err
 
 
 def test_oversized_expansion_exit_2(capsys):

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from billiardknots.billiard import diagram, writhe_direct
+from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, coefficient_string
 from billiardknots.oracle import bracket_all_signs, bracket_bruteforce, sign_sequences
 from billiardknots.recursions import (
     _family_terms,
-    b_summands,
     b_terms,
     bt_terms,
+    bumpered_summands,
     compositions,
     count_f_terms,
     count_h_skeletons,
@@ -302,7 +302,7 @@ def test_b4_slot_layout():
     ts = b_terms(4)
     assert ts.width == 6
     assert ts.skip_positions == {4}
-    assert len(b_summands(4)) == 3
+    assert len(bumpered_summands(4, 2)) == 3
 
 
 def test_b_bt_oracle_equivalence_small():
@@ -330,9 +330,7 @@ def test_writhe_recursive_matches_direct_height3():
             continue
         d = diagram(3, b)
         for combo in itertools.product((1, -1), repeat=b - 1):
-            assert writhe_recursive(3, b, combo) == writhe_direct(
-                d.assign_signs(combo)
-            ), (b, combo)
+            assert writhe_recursive(3, b, combo) == d.assign_signs(combo).writhe(), (b, combo)
 
 
 def test_writhe_recursive_matches_direct_height5():
@@ -344,9 +342,7 @@ def test_writhe_recursive_matches_direct_height5():
         k = 2 * (b - 1)
         for _ in range(120):
             combo = tuple(rng.choice((1, -1)) for _ in range(k))
-            assert writhe_recursive(5, b, combo) == writhe_direct(
-                d.assign_signs(combo)
-            ), (b, combo)
+            assert writhe_recursive(5, b, combo) == d.assign_signs(combo).writhe(), (b, combo)
 
 
 def test_writhe_recursive_rejects_link_widths():
