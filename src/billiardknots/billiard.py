@@ -132,7 +132,6 @@ class Slot:
     x: int
     y: int
     real: bool
-    crossing: int = -1  # index into the crossings list when real
 
 
 class BilliardDiagram:
@@ -258,7 +257,7 @@ class BilliardDiagram:
             if (x + y) % 2 == 0
         )
         index_of = self._index_of
-        slots = [Slot(x, y, (x, y) in index_of, index_of.get((x, y), -1)) for x, y in grid]
+        slots = [Slot(x, y, (x, y) in index_of) for x, y in grid]
         while slots and not slots[-1].real:
             slots.pop()
         self.slots = slots

@@ -9,11 +9,13 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable
 
-from .billiard import BilliardDiagram, TableSpec, diagram
-from .laurent import coefficient_string, jones_normalize
+from .billiard import BilliardDiagram, SignedDiagram, TableSpec, diagram
+from .laurent import LaurentPoly, coefficient_string, jones_normalize
 from .oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_all_signs, bracket_bruteforce
 from .recursions import (
+    BLOCKS,
     b_terms,
     bt_terms,
     bumpered_summands,
@@ -28,7 +30,7 @@ from .recursions import (
     render_h,
     skeletons_json,
 )
-from .terms import BLOCKS, CompiledTermSum, TermSum, add_all
+from .terms import CompiledTermSum, TermSum, add_all
 from .tiling import count_domino_tilings, enumerate_term_tilings, render_tilings, tiling_to_term
 
 #: Alternating-sign families reproduced by the ``table`` subcommand; the
@@ -68,12 +70,13 @@ def _check_expansion_size(family: str, n: int) -> None:
         )
 
 
-def _closed_form(spec: TableSpec) -> TermSum | None:
+def _closed_form(spec: TableSpec) -> Callable[[], TermSum] | None:
+    """The builder of the table's closed-form expansion; None if it has none."""
     for a, bumpers, terms, _ in FAMILIES.values():
         if (spec.a, spec.bumpers) == (a, bumpers):
-            return terms(spec.b)
+            return lambda: terms(spec.b)
     if (spec.a, spec.b) == (4, 2):
-        return BLOCKS["g2"]
+        return lambda: BLOCKS["g2"]
     return None
 
 
@@ -98,37 +101,44 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
+def _bracket_query(args, method: str | None) -> tuple[SignedDiagram, LaurentPoly]:
+    """The signed diagram of a ``bracket``/``jones`` query and its bracket, from
+    the oracle for ``method`` "oracle" or a table with no closed form
+    ("recursion" requires one).  A table has at least b - 1 crossings, so a
+    shorter sign string is refused before tracing; the oracle route refuses a
+    table past ``ORACLE_LIMIT`` crossings, and the signs are assigned before
+    any closed form is built."""
+    spec = TableSpec(args.a, args.b, args.bumpers)
+    if len(args.signs) < spec.b - 1:
+        raise ValueError(f"{len(args.signs)} signs for {spec.label()}, which has "
+                         f"at least {spec.b - 1} crossings")
+    build = None if method == "oracle" else _closed_form(spec)
+    if build is None and method == "recursion":
+        raise ValueError("no closed-form expansion for this table; use --method oracle")
+    d = BilliardDiagram(spec) if build else _diagram_within(spec, ORACLE_LIMIT, "oracle")
+    sd = d.assign_signs(args.signs)
+    return sd, bracket_bruteforce(sd) if build is None else build().evaluate(args.signs)
+
+
 def cmd_bracket(args) -> int:
-    d = diagram(args.a, args.b, bumpers=args.bumpers)
-    spec = d.spec
-    if args.method == "oracle":
-        value = bracket_bruteforce(d.assign_signs(args.signs))
-    else:
-        ts = _closed_form(spec)
-        if ts is None:
-            raise ValueError("no closed-form expansion for this table; use --method oracle")
-        value = ts.evaluate(args.signs)
+    sd, value = _bracket_query(args, args.method)
     _emit(
         args,
         value.text(),
-        {"table": spec.label(), "signs": args.signs, "method": args.method,
+        {"table": sd.diagram.spec.label(), "signs": args.signs, "method": args.method,
          "bracket": value.json_pairs()},
     )
     return 0
 
 
 def cmd_jones(args) -> int:
-    d = diagram(args.a, args.b, bumpers=args.bumpers)
-    spec = d.spec
-    sd = d.assign_signs(args.signs)
-    ts = _closed_form(spec)
-    bracket = bracket_bruteforce(sd) if ts is None else ts.evaluate(args.signs)
+    sd, bracket = _bracket_query(args, None)
     writhe = sd.writhe()
     value = jones_normalize(bracket, writhe)
     _emit(
         args,
         value.text(),
-        {"table": spec.label(), "signs": args.signs, "writhe": writhe,
+        {"table": sd.diagram.spec.label(), "signs": args.signs, "writhe": writhe,
          "jones": value.json_pairs()},
     )
     return 0
@@ -238,12 +248,13 @@ def cmd_bench(args) -> int:
     )
     sd = d.assign_signs(signs)
 
-    t0 = time.perf_counter()
-    ts = _closed_form(spec)
-    if ts is None:
+    build = _closed_form(spec)
+    if build is None:
         raise ValueError(
             f"{spec.label()} has no closed-form expansion; bench times one against the oracle"
         )
+    t0 = time.perf_counter()
+    ts = build()
     evaluator = CompiledTermSum(ts)
     build_s = time.perf_counter() - t0
 

@@ -112,18 +112,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        acc = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def mirror(self) -> "LaurentPoly":
         """Substitute A -> A^-1 (the mirror image of a bracket value)."""
         return LaurentPoly._raw({-e: c for e, c in self.terms.items()})

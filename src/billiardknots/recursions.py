@@ -1,10 +1,11 @@
 """Closed-form bracket expansions, spelled in one symbol alphabet.
 
-Every closed form is a sum of summands, each a tuple of symbols: the
-``terms.BLOCKS`` symbols plus the indexed blocks ``P<i>`` (P'_i), ``P̃<i>``
-(P~'_i), ``Q<i>`` and ``h<m>``, the strings the renderers print.  Each block
-is spelled once, here, and ``expand_block`` resolves any symbol to a flat
-term sum; ``_family_terms`` multiplies out and sums a family's summands.
+Every closed form is a sum of summands, each a tuple of symbols: the units
+``terms.UNITS``, the named blocks of ``BLOCK_SPELLINGS`` and the indexed
+blocks ``P<i>`` (P'_i), ``P̃<i>`` (P~'_i), ``Q<i>`` and ``h<m>``, the strings
+the renderers print.  Each block is spelled once, here; ``BLOCKS`` holds the
+units and the named blocks, ``expand_block`` resolves any symbol to a flat
+term sum, and ``_family_terms`` multiplies out and sums a family's summands.
 
 * ``f_terms(b)``   - width b-1 sums for the height-3 tables, generated by a
   one-level rewriting on summand endings (replace a trailing A-factor by C,
@@ -41,13 +42,32 @@ from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .billiard import diagram
-from .terms import BLOCKS, SignSeq, TermSum, add_all, parse_signs, product
+from .terms import UNITS, SignSeq, TermSum, add_all, parse_signs, product
 
 Spelling = tuple[tuple[str, ...], ...]
 
 # ---------------------------------------------------------------------------
-# The symbol alphabet: indexed blocks, the resolver and the builder.
+# The symbol alphabet: named and indexed blocks, the resolver and the builder.
 # ---------------------------------------------------------------------------
+
+#: The named blocks, each spelled over the units and the blocks above it.
+BLOCK_SPELLINGS: dict[str, Spelling] = {
+    "C": (("A^±", "A^±"), ("f2^∓", "A^∓")),
+    # 1 - A^(±4) on equal signs, else 0.
+    "X": (("δ", "A^±", "A^±"), ("A^±", "A^∓"), ("A^∓", "A^±")),
+    "K": (("f2^∓", "f2^∓", "A^∓", "A^∓"),),
+    "L": (("f2^∓", "A^±", "A^∓"),),
+    "M": (("f2^∓", "f2^±", "A^∓"),),
+    "N": (("f2^∓", "A^∓", "A^∓", "A^∓"),),
+    "Ñ": (("A^∓", "f2^∓", "A^∓", "A^∓"),),
+    "R": (("f2^∓", "A^±", "A^∓", "A^∓"),),
+    "R̃": (("A^±", "f2^∓", "A^∓", "A^∓"),),
+    "S": (("f2^±", "f2^∓", "A^∓", "A^∓"),),
+    # The two-slot denominator-closed 3xN-table base value.
+    "g2": (("X",), ("δ", "A^∓", "A^∓")),
+    "h2": (("A^±", "A^±"), ("δ", "A^±", "A^∓"), ("δ", "A^∓", "A^±"), ("δ", "δ", "A^∓", "A^∓")),
+    "f3": (("f2^±", "A^±"), ("f2^∓", "A^∓")),
+}
 
 
 def p_spelling(i: int, tilde: bool) -> Spelling:
@@ -131,6 +151,12 @@ def expand_block(symbol: str) -> TermSum:
 def _family_terms(summands: Iterable[tuple[str, ...]]) -> TermSum:
     """Sum over summands, each the product of its symbols' term sums."""
     return add_all(product(*map(expand_block, s)) for s in summands)
+
+
+#: The block registry: the units, then each named block built from its spelling.
+BLOCKS: dict[str, TermSum] = dict(UNITS)
+for _name, _spelling in BLOCK_SPELLINGS.items():
+    BLOCKS[_name] = _family_terms(_spelling)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +286,6 @@ def compositions(n: int) -> tuple[tuple[int, ...], ...]:
 class HSkeleton:
     """One (i, composition) skeleton of the height-5 expansion."""
 
-    b: int
     i: int
     tail: tuple[int, ...]
 
@@ -294,7 +319,7 @@ def h_skeletons(b: int) -> tuple[HSkeleton, ...]:
     if b < 4:
         raise ValueError("skeletons exist for b >= 4")
     return tuple(
-        HSkeleton(b, i, comp) for i in range(3, b) for comp in compositions(b - 1 - i)
+        HSkeleton(i, comp) for i in range(3, b) for comp in compositions(b - 1 - i)
     )
 
 

@@ -23,15 +23,14 @@ kind        value at s = +1        value at s = -1
 slot position that the diagram family leaves without a crossing, so sign
 sequences for such families align positionally with the full slot grid.
 
-``BLOCKS`` is the one registry of fixed-width blocks, keyed by the symbol
-printed in the closed-form tables: the single factors (A^±, A^∓, f2^±, f2^∓,
-_) and the named blocks (C, X, K, L, M, N, Ñ, R, R̃, S, g2, h2, f3).  The
-indexed blocks (P'_i, P~'_i, Q_i, h_m) are spelled over these symbols in
-``recursions``, which resolves every spelling to a flat term sum;
-evaluation never recurses.  ``add_all`` sums any number of term sums in one
-pass and ``product`` multiplies them out; both take the width and skip
-layout from their parts, so only the public ``TermSum`` constructor checks
-terms one by one.  ``TermSum.evaluate`` adds each term's signed A-monomial
+``UNITS`` holds the symbols every block is spelled over, keyed as printed
+in the closed-form tables: the single factors (A^±, A^∓, f2^±, f2^∓, _) and
+δ.  Every block, named or indexed, is spelled over these units in
+``recursions``, which resolves each spelling to a flat term sum; evaluation
+never recurses.  ``add_all`` sums any number of term sums in one pass and
+``product`` multiplies them out; both take the width and skip layout from
+their parts, so only the public ``TermSum`` constructor checks terms one by
+one.  ``TermSum.evaluate`` adds each term's signed A-monomial
 into one coefficient map per δ-power, then multiplies each map by its
 δ-power once.  ``check_signs`` is the one check of a sign sequence against a
 slot grid.
@@ -153,9 +152,6 @@ class TermSum:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __add__(self, other: "TermSum") -> "TermSum":
-        return add_all((self, other))
-
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
         signs = check_signs(signs, self.width, self.skip_positions)
         vec = [0 if s is None else s for s in signs]
@@ -224,73 +220,15 @@ def product(*sums: TermSum) -> TermSum:
     return TermSum._trusted(tuple(terms), width, frozenset(skips) if terms else frozenset())
 
 
-def _single(*factors: Factor, delta: int = 0) -> TermSum:
-    return TermSum([SlotTerm(delta, factors)])
-
-
 #: Width-0 multiplicative unit.
-EMPTY = _single()
+EMPTY = TermSum([SlotTerm(0, ())])
 
-APM = _single(Factor.APM)
-AMP = _single(Factor.AMP)
-F2PM = _single(Factor.F2PM)
-F2MP = _single(Factor.F2MP)
-SKIP = _single(Factor.SKIP)
+APM, AMP, F2PM, F2MP, SKIP = (TermSum([SlotTerm(0, (f,))]) for f in Factor)
 
-#: C = [A^±,A^±] + [f2^∓,A^∓] (width 2).
-C_BLOCK = _single(Factor.APM, Factor.APM) + _single(Factor.F2MP, Factor.AMP)
-
-#: X = δ[A^±,A^±] + [A^±,A^∓] + [A^∓,A^±]; 1 - A^(±4) on equal signs, else 0.
-X_BLOCK = (
-    _single(Factor.APM, Factor.APM, delta=1)
-    + _single(Factor.APM, Factor.AMP)
-    + _single(Factor.AMP, Factor.APM)
-)
-
-#: g2 = [X] + δ[A^∓,A^∓], the two-slot denominator-closed 3xN-table base value.
-G2_BLOCK = X_BLOCK + _single(Factor.AMP, Factor.AMP, delta=1)
-
-#: h2 = (A^±,A^±) + δ(A^±,A^∓) + δ(A^∓,A^±) + δ²(A^∓,A^∓).
-H2_BLOCK = (
-    _single(Factor.APM, Factor.APM)
-    + _single(Factor.APM, Factor.AMP, delta=1)
-    + _single(Factor.AMP, Factor.APM, delta=1)
-    + _single(Factor.AMP, Factor.AMP, delta=2)
-)
-
-#: f3 = (f2^±,A^±) + (f2^∓,A^∓).
-F3_BLOCK = _single(Factor.F2PM, Factor.APM) + _single(Factor.F2MP, Factor.AMP)
-
-K_BLOCK = _single(Factor.F2MP, Factor.F2MP, Factor.AMP, Factor.AMP)
-L_BLOCK = _single(Factor.F2MP, Factor.APM, Factor.AMP)
-M_BLOCK = _single(Factor.F2MP, Factor.F2PM, Factor.AMP)
-N_BLOCK = _single(Factor.F2MP, Factor.AMP, Factor.AMP, Factor.AMP)
-NT_BLOCK = _single(Factor.AMP, Factor.F2MP, Factor.AMP, Factor.AMP)
-R_BLOCK = _single(Factor.F2MP, Factor.APM, Factor.AMP, Factor.AMP)
-RT_BLOCK = _single(Factor.APM, Factor.F2MP, Factor.AMP, Factor.AMP)
-S_BLOCK = _single(Factor.F2PM, Factor.F2MP, Factor.AMP, Factor.AMP)
-
-#: The block registry, keyed by printed symbol.
-BLOCKS: dict[str, TermSum] = {
-    "A^±": APM,
-    "A^∓": AMP,
-    "f2^±": F2PM,
-    "f2^∓": F2MP,
-    "_": SKIP,
-    "C": C_BLOCK,
-    "X": X_BLOCK,
-    "K": K_BLOCK,
-    "L": L_BLOCK,
-    "M": M_BLOCK,
-    "N": N_BLOCK,
-    "Ñ": NT_BLOCK,
-    "R": R_BLOCK,
-    "R̃": RT_BLOCK,
-    "S": S_BLOCK,
-    "g2": G2_BLOCK,
-    "h2": H2_BLOCK,
-    "f3": F3_BLOCK,
-}
+#: The units every block is spelled over, keyed by printed symbol: the five
+#: one-slot factor sums and ``δ``, the width-0 sum δ^1·().
+UNITS: dict[str, TermSum] = dict(zip(_FACTOR_TEXT, (APM, AMP, F2PM, F2MP, SKIP)))
+UNITS["δ"] = TermSum([SlotTerm(1, ())])
 
 
 class CompiledTermSum:

@@ -19,6 +19,7 @@ from billiardknots.laurent import (
 )
 from billiardknots.oracle import bracket_bruteforce, sign_sequences
 from billiardknots.recursions import (
+    BLOCKS,
     b_terms,
     bt_terms,
     count_f_terms,
@@ -28,7 +29,7 @@ from billiardknots.recursions import (
     padovan,
     writhe_recursive,
 )
-from billiardknots.terms import CompiledTermSum, F2MP, F2PM, G2_BLOCK, H2_BLOCK
+from billiardknots.terms import CompiledTermSum, F2MP, F2PM, add_all
 
 A = LaurentPoly.monomial
 
@@ -83,12 +84,12 @@ def test_criterion_02_base_blocks():
     for s, want in (("+-", LaurentPoly.one()), ("-+", LaurentPoly.one()),
                     ("++", A(-6)), ("--", A(6))):
         checks.append(
-            H2_BLOCK.evaluate(s) == want == bracket_bruteforce(d52.assign_signs(s))
+            BLOCKS["h2"].evaluate(s) == want == bracket_bruteforce(d52.assign_signs(s))
         )
     hopf = LaurentPoly({4: -1, -4: -1})
     for s, want in (("++", hopf), ("--", hopf), ("+-", DELTA), ("-+", DELTA)):
         checks.append(
-            G2_BLOCK.evaluate(s) == want == bracket_bruteforce(d42.assign_signs(s))
+            BLOCKS["g2"].evaluate(s) == want == bracket_bruteforce(d42.assign_signs(s))
         )
     report(2, all(checks), "kink, double-kink and width-2 tangle blocks vs oracle")
 
@@ -211,10 +212,7 @@ def test_criterion_10_tiling_bijection():
         tilings = enumerate_term_tilings(b)
         if len(tilings) != count_f_terms(b):
             ok = False
-        mapped = None
-        for t in tilings:
-            ts = tiling_to_term(t)
-            mapped = ts if mapped is None else mapped + ts
+        mapped = add_all(tiling_to_term(t) for t in tilings)
         if mapped.canonical() != f_terms(b).canonical():
             ok = False
         if b in TILES_RENDERED and render_tilings(b) != TILES_RENDERED[b]:

@@ -9,7 +9,7 @@ import pytest
 
 import billiardknots
 from billiardknots.billiard import diagram
-from billiardknots.cli import EXPANSION_LIMIT, main
+from billiardknots.cli import EXPANSION_LIMIT, build_parser, main
 from billiardknots.laurent import jones_normalize
 from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
 from billiardknots.recursions import b_terms, bt_terms, f_terms, h_terms, skeletons_json
@@ -38,6 +38,48 @@ def test_bracket_methods_agree(capsys):
         if method == "oracle":
             want = out
     assert out == want
+
+
+def test_bracket_g2_route_matches_oracle(capsys):
+    # T(4,2) has no family expansion; its closed form is the g2 block.  The
+    # signs are set after parsing: argparse drops a lone "--" argument value.
+    for signs in ("++", "+-", "-+", "--"):
+        brackets = []
+        for method in ("recursion", "oracle"):
+            args = build_parser().parse_args(["--json", "bracket", "--a", "4", "--b", "2",
+                                              "--signs", "++", "--method", method])
+            args.signs = signs
+            assert args.func(args) == 0
+            brackets.append(json.loads(capsys.readouterr().out)["bracket"])
+        assert brackets[0] == brackets[1], signs
+
+
+def test_bad_sign_string_exit_2_before_tracing(capsys):
+    # Every table has at least b - 1 crossings, so a one-sign string is
+    # refused before the table is traced or its closed form built.
+    for argv in (("bracket", "--a", "5", "--b", "30", "--signs", "+"),
+                 ("bracket", "--a", "3", "--b", "200000", "--signs", "+"),
+                 ("bracket", "--a", "3", "--b", "3000000", "--signs", "+",
+                  "--method", "oracle"),
+                 ("jones", "--a", "4", "--b", "3000000", "--signs", "+")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"at least {int(argv[4]) - 1} crossings" in err
+
+
+def test_oracle_route_over_limit_exit_2(capsys):
+    # A sign string of the right length still cannot send a table past the
+    # oracle limit to the state sum.
+    for argv in (("bracket", "--a", "5", "--b", "14", "--signs", "+" * 26,
+                  "--method", "oracle"),
+                 ("jones", "--a", "4", "--b", "30", "--signs", "+" * 44)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"oracle limit {ORACLE_LIMIT}" in err
 
 
 def test_bracket_bumpered_recursion(capsys):

@@ -5,24 +5,18 @@ import pytest
 
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, delta_power
-from billiardknots.recursions import b_terms, bt_terms, expand_block, f_terms, h_terms
+from billiardknots.recursions import BLOCKS, b_terms, bt_terms, expand_block, f_terms, h_terms
 from billiardknots.terms import (
     AMP,
     APM,
-    BLOCKS,
-    C_BLOCK,
     EMPTY,
     F2MP,
     F2PM,
-    F3_BLOCK,
-    G2_BLOCK,
-    H2_BLOCK,
     SKIP,
     CompiledTermSum,
     Factor,
     SlotTerm,
     TermSum,
-    X_BLOCK,
     add_all,
     parse_signs,
     product,
@@ -44,41 +38,41 @@ def test_factor_values():
 
 
 def test_x_block_cases():
-    assert X_BLOCK.evaluate("++") == LaurentPoly({0: 1, 4: -1})
-    assert X_BLOCK.evaluate("--") == LaurentPoly({0: 1, -4: -1})
-    assert X_BLOCK.evaluate("+-") == LaurentPoly.zero()
-    assert X_BLOCK.evaluate("-+") == LaurentPoly.zero()
+    assert BLOCKS["X"].evaluate("++") == LaurentPoly({0: 1, 4: -1})
+    assert BLOCKS["X"].evaluate("--") == LaurentPoly({0: 1, -4: -1})
+    assert BLOCKS["X"].evaluate("+-") == LaurentPoly.zero()
+    assert BLOCKS["X"].evaluate("-+") == LaurentPoly.zero()
 
 
 def test_h2_cases():
-    assert H2_BLOCK.evaluate("+-") == LaurentPoly.one()
-    assert H2_BLOCK.evaluate("-+") == LaurentPoly.one()
-    assert H2_BLOCK.evaluate("++") == A(-6)
-    assert H2_BLOCK.evaluate("--") == A(6)
+    assert BLOCKS["h2"].evaluate("+-") == LaurentPoly.one()
+    assert BLOCKS["h2"].evaluate("-+") == LaurentPoly.one()
+    assert BLOCKS["h2"].evaluate("++") == A(-6)
+    assert BLOCKS["h2"].evaluate("--") == A(6)
 
 
 def test_g2_cases():
     hopf = LaurentPoly({4: -1, -4: -1})
-    assert G2_BLOCK.evaluate("++") == hopf
-    assert G2_BLOCK.evaluate("--") == hopf
-    assert G2_BLOCK.evaluate("+-") == DELTA
-    assert G2_BLOCK.evaluate("-+") == DELTA
+    assert BLOCKS["g2"].evaluate("++") == hopf
+    assert BLOCKS["g2"].evaluate("--") == hopf
+    assert BLOCKS["g2"].evaluate("+-") == DELTA
+    assert BLOCKS["g2"].evaluate("-+") == DELTA
 
 
 def test_f3_cases():
-    assert F3_BLOCK.evaluate("++") == DELTA
-    assert F3_BLOCK.evaluate("+-") == LaurentPoly({4: -1, -4: -1})
+    assert BLOCKS["f3"].evaluate("++") == DELTA
+    assert BLOCKS["f3"].evaluate("+-") == LaurentPoly({4: -1, -4: -1})
 
 
 def test_concat_f3_c():
-    both = product(F3_BLOCK, C_BLOCK)
+    both = product(BLOCKS["f3"], BLOCKS["C"])
     assert both.width == 4
     assert len(both.terms) == 4
 
 
 def test_concat_identity_and_width():
-    assert product(EMPTY, H2_BLOCK).canonical() == H2_BLOCK.canonical()
-    triple = product(H2_BLOCK, APM, APM)
+    assert product(EMPTY, BLOCKS["h2"]).canonical() == BLOCKS["h2"].canonical()
+    triple = product(BLOCKS["h2"], APM, APM)
     assert triple.width == 4
     assert len(triple.terms) == 4
 
@@ -99,7 +93,7 @@ def test_expand_block_api():
     assert len(expand_block("P3").terms) == 2 and len(expand_block("Q3").terms) == 2
     for m in range(1, 7):
         assert expand_block(f"h{m}").canonical() == h_terms(m).canonical(), m
-    assert expand_block("C") is C_BLOCK
+    assert expand_block("C") is BLOCKS["C"]
     for bad in ("P0", "P01", "Q2", "h0", "P", "Q", "P̃", "nope", "P'2", "h-1", ""):
         with pytest.raises(ValueError):
             expand_block(bad)
@@ -113,8 +107,8 @@ def test_p2_blocks_flat_shape():
 def test_eval_errors():
     skip_first = TermSum([SlotTerm(0, (Factor.SKIP, Factor.APM))])
     evaluators = [
-        (H2_BLOCK.evaluate, skip_first.evaluate),
-        (CompiledTermSum(H2_BLOCK).evaluate, CompiledTermSum(skip_first).evaluate),
+        (BLOCKS["h2"].evaluate, skip_first.evaluate),
+        (CompiledTermSum(BLOCKS["h2"]).evaluate, CompiledTermSum(skip_first).evaluate),
         (diagram(3, 3).assign_signs, diagram(5, 2, bumpers=2).assign_signs),
     ]
     for plain, skipped in evaluators:
@@ -149,8 +143,40 @@ def test_negative_delta_rejected():
             TermSum([SlotTerm(delta, (Factor.APM,))])
 
 
+#: Every block of the registry as it prints: render, width, skipped slots.
+BLOCK_LAYOUTS = {
+    "A^±": ("(A^±)", 1, set()),
+    "A^∓": ("(A^∓)", 1, set()),
+    "f2^±": ("(f2^±)", 1, set()),
+    "f2^∓": ("(f2^∓)", 1, set()),
+    "_": ("(_)", 1, {0}),
+    "δ": ("δ()", 0, set()),
+    "C": ("(A^±,A^±)+(f2^∓,A^∓)", 2, set()),
+    "X": ("δ(A^±,A^±)+(A^±,A^∓)+(A^∓,A^±)", 2, set()),
+    "K": ("(f2^∓,f2^∓,A^∓,A^∓)", 4, set()),
+    "L": ("(f2^∓,A^±,A^∓)", 3, set()),
+    "M": ("(f2^∓,f2^±,A^∓)", 3, set()),
+    "N": ("(f2^∓,A^∓,A^∓,A^∓)", 4, set()),
+    "Ñ": ("(A^∓,f2^∓,A^∓,A^∓)", 4, set()),
+    "R": ("(f2^∓,A^±,A^∓,A^∓)", 4, set()),
+    "R̃": ("(A^±,f2^∓,A^∓,A^∓)", 4, set()),
+    "S": ("(f2^±,f2^∓,A^∓,A^∓)", 4, set()),
+    "g2": ("δ(A^±,A^±)+(A^±,A^∓)+(A^∓,A^±)+δ(A^∓,A^∓)", 2, set()),
+    "h2": ("(A^±,A^±)+δ(A^±,A^∓)+δ(A^∓,A^±)+δ^2(A^∓,A^∓)", 2, set()),
+    "f3": ("(f2^±,A^±)+(f2^∓,A^∓)", 2, set()),
+}
+
+
+def test_block_layouts():
+    assert list(BLOCKS) == list(BLOCK_LAYOUTS)
+    for name, (render, width, skips) in BLOCK_LAYOUTS.items():
+        ts = BLOCKS[name]
+        assert (ts.render(), ts.width, ts.skip_positions) == (render, width, skips), name
+    assert expand_block("δ").terms == (SlotTerm(1, ()),)
+
+
 def test_render():
-    assert H2_BLOCK.render() == "(A^±,A^±)+δ(A^±,A^∓)+δ(A^∓,A^±)+δ^2(A^∓,A^∓)"
+    assert BLOCKS["h2"].render() == "(A^±,A^±)+δ(A^±,A^∓)+δ(A^∓,A^±)+δ^2(A^∓,A^∓)"
     # Flat products of blocks: a skip slot in b4, δ-powers up to 3 in bt3.
     assert h_terms(3).render() == (
         "(A^±,A^±,A^±,A^±)+"
@@ -200,7 +226,7 @@ def test_render():
 
 def test_compiled_matches_plain_evaluation():
     rng = random.Random(11)
-    sums = [H3, product(G2_BLOCK, expand_block("Q4")), product(expand_block("P̃3"), X_BLOCK)]
+    sums = [H3, product(BLOCKS["g2"], expand_block("Q4")), product(expand_block("P̃3"), BLOCKS["X"])]
     for ts in sums:
         compiled = CompiledTermSum(ts)
         for _ in range(25):
@@ -237,15 +263,15 @@ def test_built_sums_match_validated_construction():
 
 def test_add_all_rejects_mismatched_parts():
     with pytest.raises(ValueError, match="width"):
-        add_all([H2_BLOCK, product(H2_BLOCK, APM)])
+        add_all([BLOCKS["h2"], product(BLOCKS["h2"], APM)])
     with pytest.raises(ValueError, match="skip"):
-        add_all([product(SKIP, X_BLOCK), product(X_BLOCK, SKIP)])
+        add_all([product(SKIP, BLOCKS["X"]), product(BLOCKS["X"], SKIP)])
     with pytest.raises(ValueError, match="skip"):
         add_all([product(SKIP, APM), product(APM, APM)])
 
 
 def test_product_shifts_skips_by_offset():
-    ts = product(H2_BLOCK, SKIP, C_BLOCK, SKIP, APM)
+    ts = product(BLOCKS["h2"], SKIP, BLOCKS["C"], SKIP, APM)
     assert ts.width == 7
     assert ts.skip_positions == {2, 5}
     assert TermSum(ts.terms, ts.width).skip_positions == {2, 5}

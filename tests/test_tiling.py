@@ -1,7 +1,7 @@
 import pytest
 
-from billiardknots.recursions import count_f_terms, f_terms
-from billiardknots.terms import APM, F3_BLOCK, product
+from billiardknots.recursions import BLOCKS, count_f_terms, f_terms
+from billiardknots.terms import APM, add_all, product
 from billiardknots.tiling import (
     count_domino_tilings,
     enumerate_term_tilings,
@@ -60,17 +60,14 @@ def test_rendered_tile_lists():
 
 
 def test_dictionary_on_base_tiles():
-    assert tiling_to_term(("S2", "V")).canonical() == product(F3_BLOCK, APM).canonical()
+    assert tiling_to_term(("S2", "V")).canonical() == product(BLOCKS["f3"], APM).canonical()
     one = tiling_to_term(("S1", "H"))
     assert one.width == 3 and len(one.terms) == 1
 
 
 def test_round_trip_reproduces_f_terms():
     for b in range(4, 11):
-        mapped = None
-        for t in enumerate_term_tilings(b):
-            ts = tiling_to_term(t)
-            mapped = ts if mapped is None else mapped + ts
+        mapped = add_all(tiling_to_term(t) for t in enumerate_term_tilings(b))
         assert mapped.canonical() == f_terms(b).canonical(), b
 
 
