@@ -30,17 +30,27 @@ in the closed-form tables: the single factors (A^±, A^∓, f2^±, f2^∓, _) an
 never recurses.  ``add_all`` sums any number of term sums in one pass and
 ``product`` multiplies them out; both take the width and skip layout from
 their parts, so only the public ``TermSum`` constructor checks terms one by
-one.  ``TermSum.evaluate`` adds each term's signed A-monomial
-into one coefficient map per δ-power, then multiplies each map by its
-δ-power once.  ``check_signs`` is the one check of a sign sequence against a
-slot grid.
+one.  A ``SlotTerm`` is a plain named tuple ``(delta, factors)``.
+
+``TermSum.evaluate`` does no Python work per factor.  For a sign vector of
+width w it builds one five-entry table per slot, mapping each factor to the
+integer code m·e + n, where e is the factor's A-exponent at that slot's sign
+(0 at a skip), n is 1 for an f2 factor and 0 otherwise, and m = w + 1.  A
+term's code is one C-level ``sum(map(getitem, tables, factors))``: m times
+its A-exponent plus its number of negative factors.  That number is at most
+w < m, so ``divmod(code, m)`` recovers the exponent and the sign exactly at
+any width and δ-power.  Terms are counted by (δ-power, code), each distinct
+pair is decoded once, and each δ-power multiplies its coefficient map once.
+``check_signs`` is the one check of a sign sequence against a slot grid; it
+admits only +1, -1 and None, which the codes rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from enum import IntEnum
-from typing import Iterable
+from operator import getitem
+from typing import Iterable, NamedTuple
 
 from .laurent import LaurentPoly, delta_power
 
@@ -58,8 +68,8 @@ class Factor(IntEnum):
 
 # A-exponent contributed per unit of slot sign.
 _WEIGHT = (1, -1, -3, 3, 0)
-# Factors carrying a global -1.
-_NEGATIVE = (False, False, True, True, False)
+# Global -1 factors carried: 1 for an f2 factor.
+_NEGATIVE = (0, 0, 1, 1, 0)
 
 _FACTOR_TEXT = ("A^±", "A^∓", "f2^±", "f2^∓", "_")
 
@@ -85,13 +95,14 @@ def check_signs(signs: SignSeq | str, width: int, skips: frozenset[int]) -> Sign
     if len(signs) != width:
         raise ValueError(f"sign sequence length {len(signs)} != slot width {width}")
     for i, s in enumerate(signs):
+        if s is not None and s != 1 and s != -1:
+            raise ValueError(f"bad sign {s!r} at slot {i + 1}: must be +1, -1 or None")
         if (s is None) != (i in skips):
             raise ValueError(f"sign/skip mismatch at slot {i + 1}")
-    return tuple(signs)
+    return tuple(None if s is None else 1 if s == 1 else -1 for s in signs)
 
 
-@dataclass(frozen=True)
-class SlotTerm:
+class SlotTerm(NamedTuple):
     """δ^delta times one factor per slot."""
 
     delta: int
@@ -154,16 +165,20 @@ class TermSum:
 
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
         signs = check_signs(signs, self.width, self.skip_positions)
-        vec = [0 if s is None else s for s in signs]
+        # Per slot, factor -> m·(A-exponent) + (1 for f2).  A term's count of
+        # negative factors is at most the width, below m, so divmod of its
+        # summed code gives its exponent and sign exactly at any width.
+        m = self.width + 1
+        tables = [
+            tuple(w * (s or 0) * m + neg for w, neg in zip(_WEIGHT, _NEGATIVE))
+            for s in signs
+        ]
+        counts = Counter((k, sum(map(getitem, tables, fs))) for k, fs in self.terms)
         by_delta: dict[int, dict[int, int]] = {}
-        for t in self.terms:
-            exponent = 0
-            negate = False
-            for f, s in zip(t.factors, vec):
-                exponent += _WEIGHT[f] * s
-                negate ^= _NEGATIVE[f]
-            acc = by_delta.setdefault(t.delta, {})
-            acc[exponent] = acc.get(exponent, 0) + (-1 if negate else 1)
+        for (k, code), c in counts.items():
+            exponent, negatives = divmod(code, m)
+            acc = by_delta.setdefault(k, {})
+            acc[exponent] = acc.get(exponent, 0) + (-c if negatives & 1 else c)
         total = LaurentPoly.zero()
         for k, acc in by_delta.items():
             total = total + LaurentPoly(acc) * delta_power(k)
@@ -210,9 +225,7 @@ def product(*sums: TermSum) -> TermSum:
     skips: set[int] = set()
     for s in sums:
         terms = [
-            SlotTerm(p.delta + q.delta, p.factors + q.factors)
-            for p in terms
-            for q in s.terms
+            SlotTerm(pd + qd, pf + qf) for pd, pf in terms for qd, qf in s.terms
         ]
         skips.update(width + i for i in s.skip_positions)
         width += s.width

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, delta_power
@@ -118,8 +120,25 @@ def test_eval_errors():
             skipped("++")
         with pytest.raises(ValueError, match="sign/skip mismatch at slot 2"):
             plain("+_")
+        # Only +1, -1 and None are signs.
+        for bad in ((1, 0), (1, 2), (1, 0.5), (1, "+")):
+            with pytest.raises(ValueError, match="bad sign .* at slot 2"):
+                plain(bad)
     with pytest.raises(ValueError, match="bad sign"):
         parse_signs("+x")
+    # A value equal to +1 is the sign +1.
+    assert BLOCKS["h2"].evaluate((1.0, -1)) == BLOCKS["h2"].evaluate("+-")
+
+
+def test_slot_term_is_an_immutable_tuple():
+    t = SlotTerm(2, (Factor.APM, Factor.SKIP, Factor.F2MP))
+    assert isinstance(t, tuple)
+    assert tuple(t) == (2, (Factor.APM, Factor.SKIP, Factor.F2MP))
+    assert (t.width, t.render()) == (3, "δ^2(A^±,_,f2^∓)")
+    assert (SlotTerm(0, ()).width, SlotTerm(1, ()).render()) == (0, "δ()")
+    assert hash(t) == hash(SlotTerm(2, t.factors))
+    with pytest.raises(AttributeError):
+        t.delta = 3
 
 
 def test_term_sum_width_consistency():
@@ -308,3 +327,46 @@ def test_evaluation_matches_per_term_reference():
             want = _per_term_sum(ts, signs)
             assert ts.evaluate(signs) == want
             assert compiled.evaluate(signs) == want
+
+
+_LIVE = (Factor.APM, Factor.AMP, Factor.F2PM, Factor.F2MP)
+
+
+@st.composite
+def _term_sums_and_signs(draw):
+    """A term sum of width 0-40 with δ-powers 0-70 on a seeded skip layout,
+    always holding the all-f2^± and all-f2^∓ terms (every live slot
+    negative, exponents ±3w at a constant sign), and a sign vector."""
+    width = draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.0, 0.25, 1.0)))
+    skips = {i for i in range(width) if rng.random() < density}
+
+    def term(pick):
+        return tuple(Factor.SKIP if i in skips else pick() for i in range(width))
+
+    layouts = [term(lambda: rng.choice(_LIVE)) for _ in range(draw(st.integers(0, 12)))]
+    layouts += [term(lambda: Factor.F2PM), term(lambda: Factor.F2MP)]
+    deltas = draw(st.lists(st.integers(0, 70), min_size=len(layouts), max_size=len(layouts)))
+    mode = draw(st.sampled_from((1, -1, 0)))
+    signs = tuple(None if i in skips else mode or rng.choice((1, -1)) for i in range(width))
+    return TermSum([SlotTerm(d, fs) for d, fs in zip(deltas, layouts)], width), signs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_sums_and_signs())
+def test_evaluation_kernel_matches_references(case):
+    ts, signs = case
+    want = _per_term_sum(ts, signs)
+    assert ts.evaluate(signs) == want
+    assert CompiledTermSum(ts).evaluate(signs) == want
+
+
+def test_evaluation_kernel_at_full_negative_count():
+    # Every slot of the widest drawn width negative: exponent ±3w, sign (-1)^w.
+    for width in (39, 40):
+        for factor, weight in ((Factor.F2MP, 3), (Factor.F2PM, -3)):
+            ts = TermSum([SlotTerm(70, (factor,) * width)])
+            for s in (1, -1):
+                want = A(weight * s * width, (-1) ** width) * delta_power(70)
+                assert ts.evaluate((s,) * width) == want
