@@ -266,7 +266,11 @@ def cmd_bench(args) -> int:
     slow = bracket_bruteforce(sd)
     oracle_s = time.perf_counter() - t0
 
-    assert fast == slow
+    if fast != slow:
+        text = f"verification mismatch: closed form {fast.text()}, oracle {slow.text()}"
+        _emit(args, text, {"table": spec.label(), "signs": signs, "ok": False,
+                           "bracket": fast.json_pairs(), "oracle_bracket": slow.json_pairs()})
+        return 1
     skeletons = count_h_skeletons(spec.b) if spec.a == 5 and not spec.bumpers and spec.b >= 4 else None
     speedup = oracle_s / recursion_s if recursion_s > 0 else float("inf")
     end_to_end = oracle_s / (build_s + recursion_s)
@@ -316,6 +320,13 @@ def cmd_tilings(args) -> int:
     return 0 if bijection and counts_ok else 1
 
 
+class _SignsAction(argparse.Action):
+    """Stores a sign string; argparse hands the "--" of ``--signs=--`` over as []."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="billiardknots",
@@ -330,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bumpers", type=int, default=0, choices=(0, 1, 2))
         if signs_required is not None:
             p.add_argument(
-                "--signs", required=signs_required,
+                "--signs", required=signs_required, action=_SignsAction,
                 help="sign string over + - _ (one per slot, _ at skips)",
             )
 

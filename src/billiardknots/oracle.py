@@ -137,7 +137,7 @@ def _loops_table(d: BilliardDiagram) -> np.ndarray:
     relabelling per merged pair, and stacks the halves, so bit c of the row
     index picks crossing c's pairing.
     """
-    import numpy as np  # imported where used; see terms.CompiledTermSum
+    import numpy as np  # imported where used: the closed forms never need it
 
     arcs = np.arange(d.arc_count)
     lab = arcs[None, :]
@@ -162,7 +162,7 @@ def bracket_all_signs(d: BilliardDiagram) -> dict[str, LaurentPoly]:
     The tests cross-check this against per-state ``bracket_bruteforce`` runs
     and the loop table against a plain union-find.
     """
-    import numpy as np  # imported where used; see terms.CompiledTermSum
+    import numpy as np  # imported where used: the closed forms never need it
 
     k = d.crossing_count
     if k > SWEEP_LIMIT:

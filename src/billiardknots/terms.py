@@ -32,24 +32,21 @@ never recurses.  ``add_all`` sums any number of term sums in one pass and
 their parts, so only the public ``TermSum`` constructor checks terms one by
 one.  A ``SlotTerm`` is a plain named tuple ``(delta, factors)``.
 
-``TermSum.evaluate`` does no Python work per factor.  For a sign vector of
-width w it builds one five-entry table per slot, mapping each factor to the
-integer code m·e + n, where e is the factor's A-exponent at that slot's sign
-(0 at a skip), n is 1 for an f2 factor and 0 otherwise, and m = w + 1.  A
-term's code is one C-level ``sum(map(getitem, tables, factors))``: m times
-its A-exponent plus its number of negative factors.  That number is at most
-w < m, so ``divmod(code, m)`` recovers the exponent and the sign exactly at
-any width and δ-power.  Terms are counted by (δ-power, code), each distinct
-pair is decoded once, and each δ-power multiplies its coefficient map once.
-``check_signs`` is the one check of a sign sequence against a slot grid; it
-admits only +1, -1 and None, which the codes rely on.
+Evaluation has one kernel, ``CompiledTermSum``: it packs a sum once into
+big ints with one fixed-width field per term, so a sign vector costs one
+big-int addition per slot at sign -1 and one ``Counter`` over the fields;
+``TermSum.evaluate`` packs afresh on each call.  ``check_signs`` is the one
+check of a sign sequence against a slot grid; it admits only +1, -1 and
+None, which the packed columns rely on.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from enum import IntEnum
-from operator import getitem
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .laurent import LaurentPoly, delta_power
@@ -66,10 +63,10 @@ class Factor(IntEnum):
     SKIP = 4
 
 
-# A-exponent contributed per unit of slot sign.
-_WEIGHT = (1, -1, -3, 3, 0)
-# Global -1 factors carried: 1 for an f2 factor.
-_NEGATIVE = (0, 0, 1, 1, 0)
+_FACTOR_CODES = bytes(Factor)
+#: Factor code -> its A-exponent at sign +1, plus 3, with bit 3 set for an
+#: f2 factor (a global -1).
+_PACK = bytes.maketrans(_FACTOR_CODES, bytes((4, 2, 8 | 0, 8 | 6, 3)))
 
 _FACTOR_TEXT = ("A^±", "A^∓", "f2^±", "f2^∓", "_")
 
@@ -164,25 +161,7 @@ class TermSum:
         return len(self.terms)
 
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
-        signs = check_signs(signs, self.width, self.skip_positions)
-        # Per slot, factor -> m·(A-exponent) + (1 for f2).  A term's count of
-        # negative factors is at most the width, below m, so divmod of its
-        # summed code gives its exponent and sign exactly at any width.
-        m = self.width + 1
-        tables = [
-            tuple(w * (s or 0) * m + neg for w, neg in zip(_WEIGHT, _NEGATIVE))
-            for s in signs
-        ]
-        counts = Counter((k, sum(map(getitem, tables, fs))) for k, fs in self.terms)
-        by_delta: dict[int, dict[int, int]] = {}
-        for (k, code), c in counts.items():
-            exponent, negatives = divmod(code, m)
-            acc = by_delta.setdefault(k, {})
-            acc[exponent] = acc.get(exponent, 0) + (-c if negatives & 1 else c)
-        total = LaurentPoly.zero()
-        for k, acc in by_delta.items():
-            total = total + LaurentPoly(acc) * delta_power(k)
-        return total
+        return CompiledTermSum(self).evaluate(signs)
 
     def canonical(self) -> tuple:
         """Order-free fingerprint: the multiset of (factors, delta) pairs."""
@@ -245,52 +224,61 @@ UNITS["δ"] = TermSum([SlotTerm(1, ())])
 
 
 class CompiledTermSum:
-    """Vectorized evaluator for a flat term sum.
+    """A term sum packed once, for evaluation at any number of sign vectors.
 
-    The per-slot factors contribute a signed A-exponent that is linear in
-    the sign vector, so one matrix product evaluates all terms at once; each
-    δ-power then multiplies the sum of its terms once.
+    Term j owns field j of a few big ints: one ``_FIELD`` array item (4
+    bytes), in native byte order.  Slot i's *column* holds, per term, its
+    factor's A-exponent at sign +1 plus 3 (0 to 6; 3 at a skip); at sign -1
+    the slot gives ``SIX - column`` (``SIX``: 6 in every field).  At width w
+    and r = 6w + 1, a term's *code* is then (2k + p)·r + e + 3w for δ-power
+    k, f2 count p mod 2 and A-exponent e.  The base is the all-(+1) code;
+    each slot at sign -1 adds ``SIX - 2·column`` to it.
+
+    Exact: every code is below (2·max k + 2)·r, so no field carries while
+    that is at most 2^32 (2 to the field's bits); past it the constructor
+    raises ``ValueError``.  Partial sums may borrow across fields, but every
+    field of the total is in range, so each code unpacks exactly.
     """
 
-    def __init__(self, ts: TermSum):
-        # numpy is imported by the code that uses it, here and in the oracle
-        # sweep: loading it costs more than a whole closed-form bracket
-        # query, which never needs it.
-        import numpy as np
+    _FIELD = "I"
 
-        self.width = ts.width
+    def __init__(self, ts: TermSum):
+        self.width = w = ts.width
         self.skip_positions = ts.skip_positions
-        n = len(ts.terms)
-        self.weights = np.zeros((n, ts.width), dtype=np.int64)
-        self.signs = np.zeros(n, dtype=np.int64)
-        self.delta_pows = np.zeros(n, dtype=np.int64)
-        for r, t in enumerate(ts.terms):
-            sgn = 1
-            for col, f in enumerate(t.factors):
-                self.weights[r, col] = _WEIGHT[f]
-                if _NEGATIVE[f]:
-                    sgn = -sgn
-            self.signs[r] = sgn
-            self.delta_pows[r] = t.delta
-        self.max_k = int(self.delta_pows.max(initial=0))
+        self._r = r = 6 * w + 1
+        size = array(self._FIELD).itemsize
+        self._bytes = len(ts.terms) * size
+        deltas, factors = zip(*ts.terms) if ts.terms else ((), ())
+        max_k = max(deltas, default=0)
+        if (2 * max_k + 2) * r > 1 << 8 * size:
+            raise ValueError(f"width {w} at δ-power {max_k} overflows {8 * size}-bit fields")
+        codes = bytes(chain.from_iterable(factors))
+        if codes.translate(None, _FACTOR_CODES):
+            raise ValueError("factor codes must be Factor values")
+        codes = codes.translate(_PACK)
+        ones = int.from_bytes(array(self._FIELD, (1,)) * len(deltas), sys.byteorder)
+        self._six, sevens = 6 * ones, 7 * ones
+        buf = bytearray(self._bytes)
+        low = 0 if sys.byteorder == "little" else size - 1
+        self._columns, f2_bits = [], 0
+        for i in range(w):
+            buf[low::size] = codes[i::w]
+            packed = int.from_bytes(buf, sys.byteorder)
+            self._columns.append(packed & sevens)
+            f2_bits ^= packed
+        delta_fields = int.from_bytes(array(self._FIELD, deltas), sys.byteorder)
+        self._base = (2 * delta_fields + (f2_bits >> 3 & ones)) * r + sum(self._columns)
 
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
-        import numpy as np
-
         signs = check_signs(signs, self.width, self.skip_positions)
-        vec = np.array([0 if s is None else s for s in signs], dtype=np.int64)
-        exps = self.weights @ vec
-        total = LaurentPoly.zero()
-        for k in range(self.max_k + 1):
-            mask = self.delta_pows == k
-            if not mask.any():
-                continue
-            acc: dict[int, int] = {}
-            for e, s in zip(exps[mask].tolist(), self.signs[mask].tolist()):
-                v = acc.get(e, 0) + s
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-            total = total + LaurentPoly(acc) * delta_power(k)
-        return total
+        minus = [c for s, c in zip(signs, self._columns) if s == -1]
+        total = self._base + len(minus) * self._six - 2 * sum(minus)
+        fields = array(self._FIELD, total.to_bytes(self._bytes, sys.byteorder))
+        r, shift = self._r, 3 * self.width
+        by_delta: dict[int, dict[int, int]] = {}
+        for code, c in Counter(fields).items():
+            key, e = divmod(code, r)  # key = 2k + p
+            acc = by_delta.setdefault(key >> 1, {})
+            acc[e - shift] = acc.get(e - shift, 0) + (-c if key & 1 else c)
+        return sum((LaurentPoly(acc) * delta_power(k) for k, acc in by_delta.items()),
+                   LaurentPoly.zero())

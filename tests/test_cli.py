@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import billiardknots
+from billiardknots import cli
 from billiardknots.billiard import diagram
 from billiardknots.cli import EXPANSION_LIMIT, build_parser, main
-from billiardknots.laurent import jones_normalize
+from billiardknots.laurent import LaurentPoly, jones_normalize
 from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
 from billiardknots.recursions import b_terms, bt_terms, f_terms, h_terms, skeletons_json
 
@@ -52,6 +53,28 @@ def test_bracket_g2_route_matches_oracle(capsys):
             assert args.func(args) == 0
             brackets.append(json.loads(capsys.readouterr().out)["bracket"])
         assert brackets[0] == brackets[1], signs
+
+
+def test_all_minus_signs_of_two_slot_tables(capsys):
+    # argparse takes the value of "--signs=--" for its end-of-options marker;
+    # it is still the all-minus string, on both routes of bracket and jones.
+    for a, b in ((3, 3), (4, 2), (5, 2)):
+        sd = diagram(a, b).assign_signs("--")
+        want = bracket_bruteforce(sd)
+        for method in ("recursion", "oracle"):
+            code, out, _ = run(capsys, "--json", "bracket", "--a", str(a), "--b", str(b),
+                               "--signs=--", "--method", method)
+            assert code == 0
+            assert json.loads(out)["bracket"] == want.json_pairs(), (a, b, method)
+        code, out, _ = run(capsys, "--json", "jones", "--a", str(a), "--b", str(b),
+                           "--signs=--")
+        assert code == 0
+        data = json.loads(out)
+        assert data["signs"] == "--"
+        assert data["jones"] == jones_normalize(want, sd.writhe()).json_pairs()
+    code, out, err = run(capsys, "bracket", "--a", "3", "--b", "3", "--signs=")
+    assert code == 2 and out == ""
+    assert "0 signs for T(3,3)" in err
 
 
 def test_bad_sign_string_exit_2_before_tracing(capsys):
@@ -211,6 +234,10 @@ cli.main(["bracket", "--b", "6", "--signs", "++--++--++"])
 numpy_loaded("bracket")
 cli.main(["jones", "--b", "4", "--bumpers", "2", "--signs", "+-++_-"])
 numpy_loaded("jones")
+billiardknots.CompiledTermSum(billiardknots.h_terms(6)).evaluate("++--" * 2 + "+-")
+numpy_loaded("CompiledTermSum")
+cli.main(["bench", "--a", "3", "--b", "8"])
+numpy_loaded("bench")
 sd = billiardknots.diagram(3, 5).assign_signs("+-+-")
 billiardknots.bracket_bruteforce(sd)
 numpy_loaded("bracket_bruteforce")
@@ -223,6 +250,7 @@ numpy_loaded("bracket_all_signs")
                           text=True, check=True)
     loaded = [line[2:] for line in proc.stdout.splitlines() if line.startswith("@ ")]
     assert loaded == ["import False", "bracket False", "jones False",
+                      "CompiledTermSum False", "bench False",
                       "bracket_bruteforce False", "bracket_all_signs True"]
 
 
@@ -264,6 +292,21 @@ def test_bench_small(capsys):
         data["oracle_seconds"] / (data["expansion_seconds"] + data["recursion_seconds"])
     )
     assert data["end_to_end_speedup"] < data["speedup"]
+
+
+def test_bench_mismatch_exit_1(capsys, monkeypatch):
+    # A closed form that disagrees with the oracle is reported, never timed.
+    monkeypatch.setattr(cli, "bracket_bruteforce", lambda sd: LaurentPoly.one())
+    code, out, _ = run(capsys, "bench", "--a", "3", "--b", "6")
+    assert code == 1
+    assert out.startswith("verification mismatch: closed form") and "speedup" not in out
+    assert out.endswith("oracle 1")
+    code, out, _ = run(capsys, "--json", "bench", "--a", "3", "--b", "6")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False and data["oracle_bracket"] == [[0, 1]]
+    assert data["table"] == "T(3,6)"
+    assert "speedup" not in data
 
 
 def test_bench_without_closed_form_exit_2(capsys):

@@ -15,6 +15,7 @@ from billiardknots.terms import (
     F2MP,
     F2PM,
     SKIP,
+    UNITS,
     CompiledTermSum,
     Factor,
     SlotTerm,
@@ -250,14 +251,14 @@ def test_compiled_matches_plain_evaluation():
         compiled = CompiledTermSum(ts)
         for _ in range(25):
             signs = tuple(rng.choice((1, -1)) for _ in range(ts.width))
-            assert compiled.evaluate(signs) == ts.evaluate(signs)
+            assert compiled.evaluate(signs) == _per_term_sum(ts, signs)
 
 
 def test_compiled_exhaustive_small():
     ts = H3
     compiled = CompiledTermSum(ts)
     for combo in itertools.product((1, -1), repeat=4):
-        assert compiled.evaluate(combo) == ts.evaluate(combo)
+        assert compiled.evaluate(combo) == _per_term_sum(ts, combo)
 
 
 def test_delta_power_decomposition_past_64():
@@ -266,8 +267,71 @@ def test_delta_power_decomposition_past_64():
     )
     assert scaled.render() == "δ^70(A^±,f2^∓)+(A^∓,A^±)"
     for signs in ("++", "+-", "-+", "--"):
-        assert CompiledTermSum(scaled).evaluate(signs) == scaled.evaluate(signs)
+        assert CompiledTermSum(scaled).evaluate(signs) == _per_term_sum(scaled, parse_signs(signs))
     assert scaled.evaluate("+-") == A(-2) - A(-2) * delta_power(70)
+
+
+def test_compiled_reused_over_every_sign_vector():
+    # One packed sum evaluated many times; b6 carries a skipped slot.
+    assert b_terms(6).skip_positions
+    for ts in (h_terms(6), b_terms(6)):
+        compiled = CompiledTermSum(ts)
+        live = [i for i in range(ts.width) if i not in ts.skip_positions]
+        for combo in itertools.product((1, -1), repeat=len(live)):
+            signs = [None] * ts.width
+            for i, s in zip(live, combo):
+                signs[i] = s
+            assert compiled.evaluate(tuple(signs)) == _per_term_sum(ts, signs)
+
+
+def test_empty_and_width_zero_sums():
+    for width in (0, 3):
+        empty = TermSum([], width)
+        signs = (1,) * width
+        assert empty.evaluate(signs) == LaurentPoly.zero()
+        assert CompiledTermSum(empty).evaluate(signs) == LaurentPoly.zero()
+    assert EMPTY.evaluate(()) == LaurentPoly.one()
+    assert UNITS["δ"].evaluate("") == DELTA
+    assert CompiledTermSum(UNITS["δ"]).evaluate(()) == DELTA
+    scalars = TermSum([SlotTerm(0, ()), SlotTerm(3, ()), SlotTerm(3, ())], 0)
+    assert scalars.evaluate(()) == delta_power(3) + delta_power(3) + 1
+
+
+def test_factor_code_outside_the_five_raises():
+    for code in (5, 255, 256, -1):
+        bad = TermSum([SlotTerm(0, (Factor.APM, code))])
+        with pytest.raises(ValueError):
+            bad.evaluate("++")
+        with pytest.raises(ValueError):
+            CompiledTermSum(bad)
+
+
+def test_packing_bound(monkeypatch):
+    # Codes stay below (2·max δ + 2)·(6w + 1) and must fit the field.
+    # 32-bit fields at width 1: δ = 306783377 is the largest that fits.
+    CompiledTermSum(TermSum([SlotTerm(306_783_377, (Factor.APM,))]))
+    with pytest.raises(ValueError, match="overflows"):
+        CompiledTermSum(TermSum([SlotTerm(306_783_378, (Factor.APM,))]))
+    # 16-bit fields: (δ, w) = (9, 545) is the largest at δ = 9 and evaluates
+    # exactly, with the top code 2^16 - 117 in the all-f2 term.
+    monkeypatch.setattr(CompiledTermSum, "_FIELD", "H")
+    width = 545
+    rng = random.Random(5)
+    terms = [SlotTerm(9, (Factor.F2MP,) * width), SlotTerm(9, (Factor.F2PM,) * width)]
+    terms += [SlotTerm(rng.randrange(10), tuple(rng.choice(_LIVE) for _ in range(width)))
+              for _ in range(6)]
+    ts = TermSum(terms)
+    compiled = CompiledTermSum(ts)
+    for signs in ((1,) * width, (-1,) * width,
+                  tuple(rng.choice((1, -1)) for _ in range(width))):
+        want = _per_term_sum(ts, signs)
+        assert compiled.evaluate(signs) == ts.evaluate(signs) == want
+    for past in (TermSum([SlotTerm(10, (Factor.APM,) * width)]),
+                 TermSum([SlotTerm(9, (Factor.APM,) * (width + 1))])):
+        with pytest.raises(ValueError, match="overflows"):
+            CompiledTermSum(past)
+        with pytest.raises(ValueError, match="overflows"):
+            past.evaluate((1,) * past.width)
 
 
 def test_built_sums_match_validated_construction():
