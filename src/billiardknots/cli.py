@@ -15,12 +15,12 @@ from .billiard import BilliardDiagram, SignedDiagram, TableSpec, diagram
 from .laurent import LaurentPoly, coefficient_string, jones_normalize
 from .oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_all_signs, bracket_bruteforce
 from .recursions import (
-    BLOCKS,
     b_terms,
     bt_terms,
     bumpered_summands,
     count_f_terms,
     count_h_skeletons,
+    expand_block,
     f_terms,
     h_terms,
     padovan,
@@ -50,7 +50,7 @@ FAMILIES = {
 #: Size limit of ``terms`` and ``tilings``, checked before anything is built:
 #: the f family's summand count padovan(n + 4), or the h family's skeleton
 #: count 2^(n - 4) (for b and bt, that of their h<n-1> prefix).  The largest
-#: build it admits, ``terms --family bt --n 13``, takes ~6.5 s and ~430 MB on
+#: build it admits, ``terms --family bt --n 13``, takes ~6.3 s and ~390 MB on
 #: a 2-vCPU VM.
 EXPANSION_LIMIT = 256
 
@@ -76,7 +76,7 @@ def _closed_form(spec: TableSpec) -> Callable[[], TermSum] | None:
         if (spec.a, spec.bumpers) == (a, bumpers):
             return lambda: terms(spec.b)
     if (spec.a, spec.b) == (4, 2):
-        return lambda: BLOCKS["g2"]
+        return lambda: expand_block("g2")
     return None
 
 

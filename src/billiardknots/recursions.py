@@ -3,9 +3,10 @@
 Every closed form is a sum of summands, each a tuple of symbols: the units
 ``terms.UNITS``, the named blocks of ``BLOCK_SPELLINGS`` and the indexed
 blocks ``P<i>`` (P'_i), ``P̃<i>`` (P~'_i), ``Q<i>`` and ``h<m>``, the strings
-the renderers print.  Each block is spelled once, here; ``BLOCKS`` holds the
-units and the named blocks, ``expand_block`` resolves any symbol to a flat
-term sum, and ``_family_terms`` multiplies out and sums a family's summands.
+the renderers print.  Each block is spelled once, here; ``expand_block``
+resolves any symbol to a flat term sum and memoises it, the one cache of
+closed forms, and ``_family_terms`` multiplies out and sums a family's
+summands.  Nothing is built at import.
 
 * ``f_terms(b)``   - width b-1 sums for the height-3 tables, generated by a
   one-level rewriting on summand endings (replace a trailing A-factor by C,
@@ -130,20 +131,26 @@ def q_spelling(i: int) -> Spelling:
 _INDEXED = re.compile(r"(P̃|P|Q|h)([1-9][0-9]*)")
 
 
+@lru_cache(maxsize=None)
 def expand_block(symbol: str) -> TermSum:
-    """Resolve one symbol of the alphabet to its flat term sum.
+    """Resolve one symbol of the alphabet to its flat term sum, built once.
 
-    A ``BLOCKS`` symbol, or an indexed block: ``P<i>``/``P̃<i>`` (i >= 1,
-    P̃1 = P1), ``Q<i>`` (i >= 3) or ``h<m>`` (m >= 1, the height-5 family).
+    A unit of ``terms.UNITS``, a named block of ``BLOCK_SPELLINGS``, or an
+    indexed block: ``P<i>``/``P̃<i>`` (i >= 1, P̃1 = P1), ``Q<i>`` (i >= 3) or
+    ``h<m>`` (m >= 1, the height-5 family).  Every family shares this memo.
     """
-    if symbol in BLOCKS:
-        return BLOCKS[symbol]
+    if symbol in UNITS:
+        return UNITS[symbol]
+    if symbol in BLOCK_SPELLINGS:
+        return _family_terms(BLOCK_SPELLINGS[symbol])
     match = _INDEXED.fullmatch(symbol)
     if match is None:
         raise ValueError(f"unknown block symbol {symbol!r}")
     name, i = match.group(1), int(match.group(2))
     if name == "h":
-        return h_terms(i)
+        total = _family_terms(h_summands(i))
+        assert total.width == 2 * (i - 1)
+        return total
     spelling = q_spelling(i) if name == "Q" else p_spelling(i, tilde=name == "P̃")
     return _family_terms(spelling)
 
@@ -151,12 +158,6 @@ def expand_block(symbol: str) -> TermSum:
 def _family_terms(summands: Iterable[tuple[str, ...]]) -> TermSum:
     """Sum over summands, each the product of its symbols' term sums."""
     return add_all(product(*map(expand_block, s)) for s in summands)
-
-
-#: The block registry: the units, then each named block built from its spelling.
-BLOCKS: dict[str, TermSum] = dict(UNITS)
-for _name, _spelling in BLOCK_SPELLINGS.items():
-    BLOCKS[_name] = _family_terms(_spelling)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,6 @@ def _f_step(summands: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def f_summands(b: int) -> tuple[tuple[str, ...], ...]:
     """Expanded summands of the width-(b-1) sum, as token tuples."""
     if b < 1:
@@ -227,7 +227,6 @@ def padovan(n: int) -> int:
     return a[n]
 
 
-@lru_cache(maxsize=None)
 def f_terms(b: int) -> TermSum:
     """Flat term sum for the height-3 table of width b-1."""
     total = _family_terms(_f_symbols(s) for s in f_summands(b))
@@ -268,7 +267,6 @@ def render_f(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def compositions(n: int) -> tuple[tuple[int, ...], ...]:
     """Ordered compositions of n, first part descending; n=0 gives (())."""
     if n < 0:
@@ -357,18 +355,17 @@ def h_summands(b: int) -> Spelling:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def h_terms(b: int) -> TermSum:
-    """Flat term sum for the height-5 table of width b-1."""
-    total = _family_terms(h_summands(b))
-    assert total.width == 2 * (b - 1)
-    return total
+    """Flat term sum for the height-5 table of width b-1: the block h<b>."""
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    return expand_block(f"h{b}")
 
 
 def render_h(b: int) -> str:
     """The h sum in block notation, grouped by skeleton head as printed."""
     if b == 2:
-        return BLOCKS["h2"].render()
+        return expand_block("h2").render()
     if b <= 3:
         return _render_summands(h_summands(b))
     groups = []
@@ -427,13 +424,11 @@ def bumpered_summands(n: int, bumpers: int) -> Spelling:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def b_terms(n: int) -> TermSum:
     """Two-bumper expansion; width 2n-3 for odd n, 2n-2 (one skip) for even."""
     return _family_terms(bumpered_summands(n, 2))
 
 
-@lru_cache(maxsize=None)
 def bt_terms(n: int) -> TermSum:
     """One-bumper expansion; width 2(n-1), no skips."""
     return _family_terms(bumpered_summands(n, 1))

@@ -19,11 +19,11 @@ from billiardknots.laurent import (
 )
 from billiardknots.oracle import bracket_bruteforce, sign_sequences
 from billiardknots.recursions import (
-    BLOCKS,
     b_terms,
     bt_terms,
     count_f_terms,
     count_h_skeletons,
+    expand_block,
     f_terms,
     h_terms,
     padovan,
@@ -84,12 +84,12 @@ def test_criterion_02_base_blocks():
     for s, want in (("+-", LaurentPoly.one()), ("-+", LaurentPoly.one()),
                     ("++", A(-6)), ("--", A(6))):
         checks.append(
-            BLOCKS["h2"].evaluate(s) == want == bracket_bruteforce(d52.assign_signs(s))
+            expand_block("h2").evaluate(s) == want == bracket_bruteforce(d52.assign_signs(s))
         )
     hopf = LaurentPoly({4: -1, -4: -1})
     for s, want in (("++", hopf), ("--", hopf), ("+-", DELTA), ("-+", DELTA)):
         checks.append(
-            BLOCKS["g2"].evaluate(s) == want == bracket_bruteforce(d42.assign_signs(s))
+            expand_block("g2").evaluate(s) == want == bracket_bruteforce(d42.assign_signs(s))
         )
     report(2, all(checks), "kink, double-kink and width-2 tangle blocks vs oracle")
 

@@ -10,7 +10,7 @@ import pytest
 import billiardknots
 from billiardknots import cli
 from billiardknots.billiard import diagram
-from billiardknots.cli import EXPANSION_LIMIT, build_parser, main
+from billiardknots.cli import EXPANSION_LIMIT, main
 from billiardknots.laurent import LaurentPoly, jones_normalize
 from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
 from billiardknots.recursions import b_terms, bt_terms, f_terms, h_terms, skeletons_json
@@ -42,16 +42,14 @@ def test_bracket_methods_agree(capsys):
 
 
 def test_bracket_g2_route_matches_oracle(capsys):
-    # T(4,2) has no family expansion; its closed form is the g2 block.  The
-    # signs are set after parsing: argparse drops a lone "--" argument value.
+    # T(4,2) has no family expansion; its closed form is the g2 block.
     for signs in ("++", "+-", "-+", "--"):
         brackets = []
         for method in ("recursion", "oracle"):
-            args = build_parser().parse_args(["--json", "bracket", "--a", "4", "--b", "2",
-                                              "--signs", "++", "--method", method])
-            args.signs = signs
-            assert args.func(args) == 0
-            brackets.append(json.loads(capsys.readouterr().out)["bracket"])
+            code, out, _ = run(capsys, "--json", "bracket", "--a", "4", "--b", "2",
+                               f"--signs={signs}", "--method", method)
+            assert code == 0
+            brackets.append(json.loads(out)["bracket"])
         assert brackets[0] == brackets[1], signs
 
 
@@ -179,6 +177,38 @@ def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--family", "f", "--max-n", "6")
     assert code == 0
     assert "all match" in out
+
+
+def test_verify_mismatch_exit_1(capsys, monkeypatch):
+    # An oracle entry off by one is reported as the one mismatch, never as a pass.
+    bracket_all_signs = cli.bracket_all_signs
+
+    def off_by_one(d):
+        table = bracket_all_signs(d)
+        if d.spec.b == 4:
+            first = next(iter(table))
+            table[first] = table[first] + 1
+        return table
+
+    monkeypatch.setattr(cli, "bracket_all_signs", off_by_one)
+    code, out, _ = run(capsys, "verify", "--family", "f", "--max-n", "5")
+    assert code == 1
+    assert out == "family f: 1 mismatches, first [(4, '+++')]"
+    code, out, _ = run(capsys, "--json", "verify", "--family", "f", "--max-n", "5")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False and data["mismatches"] == [[4, "+++"]]
+
+
+def test_verify_slot_layout_mismatch_exit_1(capsys, monkeypatch):
+    # A family one slot too wide for its table is a layout mismatch at every n.
+    _, bumpers, _, render = cli.FAMILIES["f"]
+    monkeypatch.setitem(cli.FAMILIES, "f", (3, bumpers, lambda n: f_terms(n + 1), render))
+    code, out, _ = run(capsys, "--json", "verify", "--family", "f", "--max-n", "3")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False and data["checked"] == 0
+    assert data["mismatches"] == [[n, "<slot layout>"] for n in (1, 2, 3)]
 
 
 def test_verify_over_sweep_limit_exit_2(capsys):

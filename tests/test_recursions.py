@@ -1,8 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import billiardknots
+from billiardknots import recursions
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, coefficient_string
 from billiardknots.oracle import bracket_all_signs, bracket_bruteforce, sign_sequences
@@ -14,6 +21,7 @@ from billiardknots.recursions import (
     compositions,
     count_f_terms,
     count_h_skeletons,
+    expand_block,
     f_summands,
     f_terms,
     h_skeletons,
@@ -160,6 +168,34 @@ def test_h_width_invariant():
         assert h_terms(b).width == 2 * (b - 1)
     for sk in h_skeletons(8):
         assert 2 * sk.i + 2 * sum(sk.tail) == 2 * 7
+
+
+def test_blocks_are_spelled_once(monkeypatch):
+    # h10 and then bt10 (which shares h10's P/Q blocks and h<m> prefixes) read
+    # every block through the one memo, so each is spelled at most once.
+    calls = Counter()
+
+    def counted(spell):
+        def wrapped(*args, **kwargs):
+            calls[spell.__name__, args, tuple(kwargs.items())] += 1
+            return spell(*args, **kwargs)
+        return wrapped
+
+    expand_block.cache_clear()
+    monkeypatch.setattr(recursions, "p_spelling", counted(recursions.p_spelling))
+    monkeypatch.setattr(recursions, "q_spelling", counted(recursions.q_spelling))
+    h_terms(10)
+    bt_terms(10)
+    assert calls and max(calls.values()) == 1
+    assert {name for name, *_ in calls} == {"p_spelling", "q_spelling"}
+
+
+def test_import_builds_no_block():
+    script = "import billiardknots; print(billiardknots.expand_block.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(billiardknots.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 def test_h_rendered_forms():

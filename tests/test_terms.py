@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, delta_power
-from billiardknots.recursions import BLOCKS, b_terms, bt_terms, expand_block, f_terms, h_terms
+from billiardknots.recursions import (
+    BLOCK_SPELLINGS,
+    b_terms,
+    bt_terms,
+    expand_block,
+    f_terms,
+    h_terms,
+)
 from billiardknots.terms import (
     AMP,
     APM,
@@ -41,41 +48,41 @@ def test_factor_values():
 
 
 def test_x_block_cases():
-    assert BLOCKS["X"].evaluate("++") == LaurentPoly({0: 1, 4: -1})
-    assert BLOCKS["X"].evaluate("--") == LaurentPoly({0: 1, -4: -1})
-    assert BLOCKS["X"].evaluate("+-") == LaurentPoly.zero()
-    assert BLOCKS["X"].evaluate("-+") == LaurentPoly.zero()
+    assert expand_block("X").evaluate("++") == LaurentPoly({0: 1, 4: -1})
+    assert expand_block("X").evaluate("--") == LaurentPoly({0: 1, -4: -1})
+    assert expand_block("X").evaluate("+-") == LaurentPoly.zero()
+    assert expand_block("X").evaluate("-+") == LaurentPoly.zero()
 
 
 def test_h2_cases():
-    assert BLOCKS["h2"].evaluate("+-") == LaurentPoly.one()
-    assert BLOCKS["h2"].evaluate("-+") == LaurentPoly.one()
-    assert BLOCKS["h2"].evaluate("++") == A(-6)
-    assert BLOCKS["h2"].evaluate("--") == A(6)
+    assert expand_block("h2").evaluate("+-") == LaurentPoly.one()
+    assert expand_block("h2").evaluate("-+") == LaurentPoly.one()
+    assert expand_block("h2").evaluate("++") == A(-6)
+    assert expand_block("h2").evaluate("--") == A(6)
 
 
 def test_g2_cases():
     hopf = LaurentPoly({4: -1, -4: -1})
-    assert BLOCKS["g2"].evaluate("++") == hopf
-    assert BLOCKS["g2"].evaluate("--") == hopf
-    assert BLOCKS["g2"].evaluate("+-") == DELTA
-    assert BLOCKS["g2"].evaluate("-+") == DELTA
+    assert expand_block("g2").evaluate("++") == hopf
+    assert expand_block("g2").evaluate("--") == hopf
+    assert expand_block("g2").evaluate("+-") == DELTA
+    assert expand_block("g2").evaluate("-+") == DELTA
 
 
 def test_f3_cases():
-    assert BLOCKS["f3"].evaluate("++") == DELTA
-    assert BLOCKS["f3"].evaluate("+-") == LaurentPoly({4: -1, -4: -1})
+    assert expand_block("f3").evaluate("++") == DELTA
+    assert expand_block("f3").evaluate("+-") == LaurentPoly({4: -1, -4: -1})
 
 
 def test_concat_f3_c():
-    both = product(BLOCKS["f3"], BLOCKS["C"])
+    both = product(expand_block("f3"), expand_block("C"))
     assert both.width == 4
     assert len(both.terms) == 4
 
 
 def test_concat_identity_and_width():
-    assert product(EMPTY, BLOCKS["h2"]).canonical() == BLOCKS["h2"].canonical()
-    triple = product(BLOCKS["h2"], APM, APM)
+    assert product(EMPTY, expand_block("h2")).canonical() == expand_block("h2").canonical()
+    triple = product(expand_block("h2"), APM, APM)
     assert triple.width == 4
     assert len(triple.terms) == 4
 
@@ -96,7 +103,7 @@ def test_expand_block_api():
     assert len(expand_block("P3").terms) == 2 and len(expand_block("Q3").terms) == 2
     for m in range(1, 7):
         assert expand_block(f"h{m}").canonical() == h_terms(m).canonical(), m
-    assert expand_block("C") is BLOCKS["C"]
+    assert expand_block("C") is expand_block("C")
     for bad in ("P0", "P01", "Q2", "h0", "P", "Q", "P̃", "nope", "P'2", "h-1", ""):
         with pytest.raises(ValueError):
             expand_block(bad)
@@ -110,8 +117,8 @@ def test_p2_blocks_flat_shape():
 def test_eval_errors():
     skip_first = TermSum([SlotTerm(0, (Factor.SKIP, Factor.APM))])
     evaluators = [
-        (BLOCKS["h2"].evaluate, skip_first.evaluate),
-        (CompiledTermSum(BLOCKS["h2"]).evaluate, CompiledTermSum(skip_first).evaluate),
+        (expand_block("h2").evaluate, skip_first.evaluate),
+        (CompiledTermSum(expand_block("h2")).evaluate, CompiledTermSum(skip_first).evaluate),
         (diagram(3, 3).assign_signs, diagram(5, 2, bumpers=2).assign_signs),
     ]
     for plain, skipped in evaluators:
@@ -128,7 +135,7 @@ def test_eval_errors():
     with pytest.raises(ValueError, match="bad sign"):
         parse_signs("+x")
     # A value equal to +1 is the sign +1.
-    assert BLOCKS["h2"].evaluate((1.0, -1)) == BLOCKS["h2"].evaluate("+-")
+    assert expand_block("h2").evaluate((1.0, -1)) == expand_block("h2").evaluate("+-")
 
 
 def test_slot_term_is_an_immutable_tuple():
@@ -188,15 +195,15 @@ BLOCK_LAYOUTS = {
 
 
 def test_block_layouts():
-    assert list(BLOCKS) == list(BLOCK_LAYOUTS)
+    assert [*UNITS, *BLOCK_SPELLINGS] == list(BLOCK_LAYOUTS)
     for name, (render, width, skips) in BLOCK_LAYOUTS.items():
-        ts = BLOCKS[name]
+        ts = expand_block(name)
         assert (ts.render(), ts.width, ts.skip_positions) == (render, width, skips), name
     assert expand_block("δ").terms == (SlotTerm(1, ()),)
 
 
 def test_render():
-    assert BLOCKS["h2"].render() == "(A^±,A^±)+δ(A^±,A^∓)+δ(A^∓,A^±)+δ^2(A^∓,A^∓)"
+    assert expand_block("h2").render() == "(A^±,A^±)+δ(A^±,A^∓)+δ(A^∓,A^±)+δ^2(A^∓,A^∓)"
     # Flat products of blocks: a skip slot in b4, δ-powers up to 3 in bt3.
     assert h_terms(3).render() == (
         "(A^±,A^±,A^±,A^±)+"
@@ -246,7 +253,7 @@ def test_render():
 
 def test_compiled_matches_plain_evaluation():
     rng = random.Random(11)
-    sums = [H3, product(BLOCKS["g2"], expand_block("Q4")), product(expand_block("P̃3"), BLOCKS["X"])]
+    sums = [H3, product(expand_block("g2"), expand_block("Q4")), product(expand_block("P̃3"), expand_block("X"))]
     for ts in sums:
         compiled = CompiledTermSum(ts)
         for _ in range(25):
@@ -338,7 +345,7 @@ def test_built_sums_match_validated_construction():
     # product and add_all derive width and skips from their parts; the public
     # constructor recomputes them from the terms.
     built = [fam(n) for fam in FAMILIES.values() for n in range(1, 10)]
-    for ts in built + list(BLOCKS.values()):
+    for ts in built + [expand_block(name) for name in [*UNITS, *BLOCK_SPELLINGS]]:
         checked = TermSum(ts.terms, ts.width)
         assert (checked.width, checked.skip_positions) == (ts.width, ts.skip_positions)
     assert b_terms(4).skip_positions == {4}
@@ -346,15 +353,15 @@ def test_built_sums_match_validated_construction():
 
 def test_add_all_rejects_mismatched_parts():
     with pytest.raises(ValueError, match="width"):
-        add_all([BLOCKS["h2"], product(BLOCKS["h2"], APM)])
+        add_all([expand_block("h2"), product(expand_block("h2"), APM)])
     with pytest.raises(ValueError, match="skip"):
-        add_all([product(SKIP, BLOCKS["X"]), product(BLOCKS["X"], SKIP)])
+        add_all([product(SKIP, expand_block("X")), product(expand_block("X"), SKIP)])
     with pytest.raises(ValueError, match="skip"):
         add_all([product(SKIP, APM), product(APM, APM)])
 
 
 def test_product_shifts_skips_by_offset():
-    ts = product(BLOCKS["h2"], SKIP, BLOCKS["C"], SKIP, APM)
+    ts = product(expand_block("h2"), SKIP, expand_block("C"), SKIP, APM)
     assert ts.width == 7
     assert ts.skip_positions == {2, 5}
     assert TermSum(ts.terms, ts.width).skip_positions == {2, 5}

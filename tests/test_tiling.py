@@ -1,6 +1,6 @@
 import pytest
 
-from billiardknots.recursions import BLOCKS, count_f_terms, f_terms
+from billiardknots.recursions import count_f_terms, expand_block, f_terms
 from billiardknots.terms import APM, add_all, product
 from billiardknots.tiling import (
     count_domino_tilings,
@@ -60,7 +60,7 @@ def test_rendered_tile_lists():
 
 
 def test_dictionary_on_base_tiles():
-    assert tiling_to_term(("S2", "V")).canonical() == product(BLOCKS["f3"], APM).canonical()
+    assert tiling_to_term(("S2", "V")).canonical() == product(expand_block("f3"), APM).canonical()
     one = tiling_to_term(("S1", "H"))
     assert one.width == 3 and len(one.terms) == 1
 
