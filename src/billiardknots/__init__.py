@@ -15,13 +15,11 @@ from .laurent import (
     delta_power,
     jones_normalize,
 )
-from .oracle import bracket_all_signs, bracket_bruteforce, jones, sign_sequences
+from .oracle import bracket_all_signs, bracket_bruteforce, sign_sequences
 from .recursions import (
     b_terms,
     bt_terms,
     compositions,
-    count_f_terms,
-    count_h_skeletons,
     expand_block,
     f_terms,
     h_terms,
@@ -57,15 +55,12 @@ __all__ = [
     "coefficient_string",
     "compositions",
     "count_domino_tilings",
-    "count_f_terms",
-    "count_h_skeletons",
     "delta_power",
     "diagram",
     "enumerate_term_tilings",
     "expand_block",
     "f_terms",
     "h_terms",
-    "jones",
     "jones_normalize",
     "padovan",
     "parse_signs",

@@ -2,9 +2,10 @@
 
 Bracket values live in Z[A, A^-1].  Coefficients are Python integers, so
 every operation is exact at any magnitude (no overflow, no floats).  The
-Jones normalization substitutes A = t^(-1/4); the result lives in the
-quarter-integer exponent ring, represented by :class:`QuarterPoly` with all
-exponents stored as numerators over the fixed denominator 4.
+Jones normalization substitutes A = t^(-1/4), so a Jones polynomial is a
+Laurent polynomial in t^(1/4): :class:`QuarterPoly`, a :class:`LaurentPoly`
+whose exponent n stands for t^(n/4) and which only renders differently.
+The two types never compare equal.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             return self.terms == ({0: other} if other else {})
-        if isinstance(other, LaurentPoly):
+        if type(other) is type(self):
             return self.terms == other.terms
         return NotImplemented
 
@@ -74,7 +75,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly.monomial(0, other)
+            other = self.monomial(0, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             v = out.get(e, 0) + c
@@ -82,23 +83,23 @@ class LaurentPoly:
                 out[e] = v
             elif e in out:
                 del out[e]
-        return LaurentPoly._raw(out)
+        return self._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
+        return self._raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly.monomial(0, other)
+            other = self.monomial(0, other)
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             if not other:
-                return LaurentPoly.zero()
-            return LaurentPoly._raw({e: c * other for e, c in self.terms.items()})
+                return self.zero()
+            return self._raw({e: c * other for e, c in self.terms.items()})
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -108,13 +109,13 @@ class LaurentPoly:
                     out[e] = v
                 elif e in out:
                     del out[e]
-        return LaurentPoly._raw(out)
+        return self._raw(out)
 
     __rmul__ = __mul__
 
     def mirror(self) -> "LaurentPoly":
         """Substitute A -> A^-1 (the mirror image of a bracket value)."""
-        return LaurentPoly._raw({-e: c for e, c in self.terms.items()})
+        return self._raw({-e: c for e, c in self.terms.items()})
 
     def exponents(self) -> list[int]:
         return sorted(self.terms, reverse=True)
@@ -131,7 +132,7 @@ class LaurentPoly:
         return [[e, self.terms[e]] for e in self.exponents()]
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.text()})"
+        return f"{type(self).__name__}({self.text()})"
 
 
 #: delta = -A^2 - A^-2, the value of a disjoint unknot under stabilization.
@@ -149,41 +150,18 @@ def delta_power(k: int) -> LaurentPoly:
     return _DELTA_POWERS[k]
 
 
-class QuarterPoly:
-    """Laurent polynomial in t with quarter-integer exponents.
+class QuarterPoly(LaurentPoly):
+    """Laurent polynomial in t^(1/4): the exponent n stands for t^(n/4).
 
-    Exponents are stored as integer numerators over the fixed denominator 4,
-    so t^(n/4) is keyed by n.  Knot diagrams normalize to integer exponents;
-    links may genuinely need halves.
+    Knot diagrams normalize to integer t-exponents; links may genuinely need
+    halves.
     """
 
-    __slots__ = ("numers",)
-
-    def __init__(self, numers: Mapping[int, int] | None = None):
-        self.numers: dict[int, int] = (
-            {int(n): c for n, c in numers.items() if c} if numers else {}
-        )
-
-    @classmethod
-    def one(cls) -> "QuarterPoly":
-        return cls({0: 1})
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.numers == ({0: other} if other else {})
-        if isinstance(other, QuarterPoly):
-            return self.numers == other.numers
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.numers.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.numers)
+    __slots__ = ()
 
     def is_integral(self) -> bool:
         """True when every t-exponent is a whole integer."""
-        return all(n % 4 == 0 for n in self.numers)
+        return all(n % 4 == 0 for n in self.terms)
 
     def text(self) -> str:
         """Render like ``t + t^3 - t^4`` (ascending exponents, fractions reduced)."""
@@ -194,14 +172,11 @@ class QuarterPoly:
                 return f"t^({n * d // 4}/{d})"
             return "" if n == 0 else "t" if n == 4 else f"t^{n // 4}"
 
-        return _render((power(n), self.numers[n]) for n in sorted(self.numers))
+        return _render((power(n), self.terms[n]) for n in sorted(self.terms))
 
     def json_pairs(self) -> list[list[int]]:
         """[[numerator-of-quarter-exponent, coefficient], ...] ascending."""
-        return [[n, self.numers[n]] for n in sorted(self.numers)]
-
-    def __repr__(self) -> str:
-        return f"QuarterPoly({self.text()})"
+        return [[n, self.terms[n]] for n in sorted(self.terms)]
 
 
 def jones_normalize(bracket: LaurentPoly, writhe: int) -> QuarterPoly:
@@ -212,7 +187,7 @@ def jones_normalize(bracket: LaurentPoly, writhe: int) -> QuarterPoly:
     """
     sign = -1 if writhe & 1 else 1
     normalized = bracket * LaurentPoly.monomial(-3 * writhe, sign)
-    return QuarterPoly({-e: c for e, c in normalized.terms.items()})
+    return QuarterPoly._raw({-e: c for e, c in normalized.terms.items()})
 
 
 def coefficient_string(p: LaurentPoly) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .billiard import NE, NW, SE, SW, BilliardDiagram, SignedDiagram
-from .laurent import LaurentPoly, QuarterPoly, delta_power, jones_normalize
+from .laurent import LaurentPoly, delta_power
 from .terms import signs_text
 
 #: Port pairs for the two smoothings: index 0 when the NE-sloped strand is
@@ -114,11 +114,6 @@ def bracket_bruteforce(
     for (exp, loops), count in tally.items():
         total = total + LaurentPoly.monomial(exp, count) * delta_power(loops - 1)
     return total
-
-
-def jones(sd: SignedDiagram) -> QuarterPoly:
-    """Jones polynomial: writhe-normalized bracket with A = t^(-1/4)."""
-    return jones_normalize(bracket_bruteforce(sd), sd.writhe())
 
 
 def sign_sequences(d: BilliardDiagram) -> Iterator[str]:

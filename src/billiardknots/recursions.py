@@ -18,9 +18,9 @@ summands.  Nothing is built at import.
   skipped slots aligned to the table's missing crossings; both are spelled
   by ``bumpered_summands``, one rule over h<m> prefixes read from a table.
 
-Term counts obey closed formulas: the f-family count is a Padovan number
-(offset four) and the h-family skeleton count is 2^(b-4); both are asserted
-exhaustively in the tests.
+Term counts obey closed formulas: the f-family summand count
+``len(f_summands(b))`` is ``padovan(b + 4)`` and the h-family skeleton count
+``len(h_skeletons(b))`` is 2^(b-4); both are asserted in the tests.
 
 P-block variant selection.  Each composition part expands to P'_c or P~'_c.
 The resolved convention, validated against the printed width-4..6 tables and
@@ -212,11 +212,6 @@ def f_summands(b: int) -> tuple[tuple[str, ...], ...]:
     return tuple(summands)
 
 
-def count_f_terms(b: int) -> int:
-    """Number of expanded summands of the f family at width b-1."""
-    return len(f_summands(b))
-
-
 def padovan(n: int) -> int:
     """a(n) with a(n) = a(n-2) + a(n-3), a(0)=1, a(1)=a(2)=0."""
     if n < 0:
@@ -300,14 +295,6 @@ class HSkeleton:
             s += c
         return tuple(names)
 
-    def as_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "composition": list(self.tail),
-            "head": list(self.head_names()),
-            "tail": list(self.tail_names()),
-        }
-
 
 def _p_name(c: int, tilde: bool) -> str:
     return f"P̃{c}" if tilde and c >= 2 else f"P{c}"
@@ -319,14 +306,6 @@ def h_skeletons(b: int) -> tuple[HSkeleton, ...]:
     return tuple(
         HSkeleton(i, comp) for i in range(3, b) for comp in compositions(b - 1 - i)
     )
-
-
-def count_h_skeletons(b: int) -> int:
-    return len(h_skeletons(b))
-
-
-def skeletons_json(b: int) -> list[dict]:
-    return [sk.as_dict() for sk in h_skeletons(b)]
 
 
 #: h3 = (h2,A^±,A^±) + (K) + (g2,A^±,A^∓) + (M,A^±).

@@ -238,7 +238,7 @@ def _omega_value(v) -> tuple[int, int]:
     """V(omega) = x + y*omega in Z[omega], omega = e^(2 pi i/3), for an
     integral Jones polynomial: t-exponents fold mod 3, omega^2 = -1 - omega."""
     x = y = 0
-    for n, c in v.numers.items():
+    for n, c in v.terms.items():
         r = (n // 4) % 3
         if r == 0:
             x += c

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import billiardknots
-from billiardknots import cli
+from billiardknots import cli, recursions
 from billiardknots.billiard import diagram
 from billiardknots.cli import EXPANSION_LIMIT, main
 from billiardknots.laurent import LaurentPoly, jones_normalize
 from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
-from billiardknots.recursions import b_terms, bt_terms, f_terms, h_terms, skeletons_json
+from billiardknots.recursions import b_terms, bt_terms, f_terms, h_terms
 
 from .test_recursions import B_RENDERED, BT_RENDERED, F_RENDERED, H_RENDERED
 
@@ -162,7 +162,13 @@ def test_terms(capsys):
             assert data["flat_terms"] == len(terms(n)), (family, n)
             if (family, n) == ("h", 6):
                 assert data["skeletons"] == 4
-                assert data["skeleton_list"] == skeletons_json(6)
+                assert data["skeleton_list"] == [
+                    {"i": 3, "composition": [2], "head": ["P1", "P2", "Q3"], "tail": ["P2"]},
+                    {"i": 3, "composition": [1, 1], "head": ["P1", "P2", "Q3"],
+                     "tail": ["P1", "P1"]},
+                    {"i": 4, "composition": [1], "head": ["P̃2", "P3", "Q4"], "tail": ["P1"]},
+                    {"i": 5, "composition": [], "head": ["P̃3", "P4", "Q5"], "tail": []},
+                ]
 
 
 def test_pd(capsys):
@@ -310,6 +316,37 @@ def test_tilings(capsys):
     assert code == 0
     assert out.splitlines()[0] == "(S2,C,C)+(S2,V,H,V)+(S1,H,[C,V]+[V,H])"
     assert "bijection with the expansion: ok" in out
+
+
+def test_tilings_count_mismatch_exit_1(capsys, monkeypatch):
+    # An f recurrence that loses a summand no longer counts padovan(b + 4) tilings.
+    f_summands = recursions.f_summands
+    monkeypatch.setattr(recursions, "f_summands", lambda b: f_summands(b)[:-1])
+    code, out, _ = run(capsys, "tilings", "--b", "7")
+    assert code == 1
+    assert out.endswith("bijection with the expansion: FAILED")
+    code, out, _ = run(capsys, "--json", "tilings", "--b", "7")
+    assert code == 1 and json.loads(out)["bijection_ok"] is False
+
+
+def test_out_of_memory_exit_2(capsys, monkeypatch):
+    # A build that runs out of memory is one error line and exit 2, not a traceback;
+    # CPython 3.11 may raise the SystemError below instead of MemoryError.
+    argv = ["bracket", "--a", "5", "--b", "16", "--signs=" + "+" * 30]
+    _, bumpers, _, render = cli.FAMILIES["h"]
+
+    def failing(error):
+        def build(n):
+            raise error
+        return (5, bumpers, build, render)
+
+    lost = "<function SlotTerm.__new__> returned NULL without setting an exception"
+    for error in (MemoryError(), SystemError(lost)):
+        monkeypatch.setitem(cli.FAMILIES, "h", failing(error))
+        assert run(capsys, *argv) == (2, "", "error: out of memory"), error
+    monkeypatch.setitem(cli.FAMILIES, "h", failing(SystemError("another internal error")))
+    with pytest.raises(SystemError):
+        main(argv)
 
 
 def test_bench_small(capsys):

@@ -142,3 +142,12 @@ def test_json_pairs_sorted_descending():
 def test_mirror():
     p = LaurentPoly({5: -1, -3: 2})
     assert p.mirror() == LaurentPoly({-5: -1, 3: 2})
+
+
+def test_jones_value_never_equals_a_bracket():
+    v = jones_normalize(ONE, 0)
+    assert isinstance(v, QuarterPoly) and v == QuarterPoly.one() == 1
+    assert QuarterPoly({0: 1}) != LaurentPoly.one()
+    assert LaurentPoly.one() != QuarterPoly({0: 1})
+    assert repr(v) == "QuarterPoly(1)" and repr(ONE) == "LaurentPoly(1)"
+    assert type(v + v) is QuarterPoly and -v == QuarterPoly({0: -1})

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import billiardknots
-from billiardknots import recursions
+from billiardknots import cli, recursions
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, coefficient_string
 from billiardknots.oracle import bracket_all_signs, bracket_bruteforce, sign_sequences
@@ -19,8 +20,6 @@ from billiardknots.recursions import (
     bt_terms,
     bumpered_summands,
     compositions,
-    count_f_terms,
-    count_h_skeletons,
     expand_block,
     f_summands,
     f_terms,
@@ -32,7 +31,6 @@ from billiardknots.recursions import (
     render_bt,
     render_f,
     render_h,
-    skeletons_json,
     writhe_recursive,
 )
 from billiardknots.terms import CompiledTermSum
@@ -109,12 +107,12 @@ def test_f_rendered_forms():
 
 def test_f_counts_match_padovan():
     for b in range(4, 17):
-        assert count_f_terms(b) == padovan(b + 4), b
+        assert len(f_summands(b)) == padovan(b + 4), b
 
 
 def test_padovan_recurrence_on_counts():
     for b in range(4, 14):
-        assert count_f_terms(b + 3) == count_f_terms(b) + count_f_terms(b + 1)
+        assert len(f_summands(b + 3)) == len(f_summands(b)) + len(f_summands(b + 1))
 
 
 def test_padovan_values():
@@ -123,9 +121,9 @@ def test_padovan_values():
 
 
 def test_f_known_counts():
-    assert count_f_terms(4) == 2
-    assert count_f_terms(6) == 3
-    assert count_f_terms(12) == 16
+    assert len(f_summands(4)) == 2
+    assert len(f_summands(6)) == 3
+    assert len(f_summands(12)) == 16
 
 
 def test_f_width_invariant():
@@ -157,10 +155,10 @@ def test_compositions():
 
 
 def test_h_skeleton_counts():
-    assert count_h_skeletons(4) == 1
-    assert count_h_skeletons(5) == 2
+    assert len(h_skeletons(4)) == 1
+    assert len(h_skeletons(5)) == 2
     for b in range(4, 17):
-        assert count_h_skeletons(b) == 2 ** (b - 4)
+        assert len(h_skeletons(b)) == 2 ** (b - 4)
 
 
 def test_h_width_invariant():
@@ -207,8 +205,9 @@ def test_h_table2_row():
     assert coefficient_string(h_terms(3).evaluate("++--")) == (1, -1, 1, -1, 1)
 
 
-def test_skeletons_json():
-    entries = skeletons_json(6)
+def test_terms_skeleton_list(capsys):
+    assert cli.main(["--json", "terms", "--family", "h", "--n", "6"]) == 0
+    entries = json.loads(capsys.readouterr().out)["skeleton_list"]
     assert len(entries) == 4
     assert entries[0]["i"] == 3 and entries[0]["composition"] == [2]
     assert entries[0]["head"] == ["P1", "P2", "Q3"]
