@@ -29,7 +29,6 @@ from .recursions import (
 from .terms import (
     CompiledTermSum,
     Factor,
-    SlotTerm,
     TermSum,
     parse_signs,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "LaurentPoly",
     "QuarterPoly",
     "SignedDiagram",
-    "SlotTerm",
     "TableSpec",
     "TermSum",
     "b_terms",

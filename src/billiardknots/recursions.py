@@ -43,7 +43,7 @@ from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .billiard import diagram
-from .terms import UNITS, SignSeq, TermSum, add_all, parse_signs, product
+from .terms import UNITS, SignSeq, TermSum, add_all, check_signs, product
 
 Spelling = tuple[tuple[str, ...], ...]
 
@@ -453,13 +453,10 @@ def writhe_recursive(a: int, b: int, signs: SignSeq | str) -> int:
     fixed sign pattern over the new crossings; the smallest width in each
     residue class is counted directly.
     """
-    if isinstance(signs, str):
-        signs = parse_signs(signs)
     if a == 3:
         if b % 3 == 0:
             raise ValueError("writhe recursion needs b not divisible by 3")
-        if len(signs) != b - 1:
-            raise ValueError("sign sequence length != b-1")
+        signs = check_signs(signs, b - 1, frozenset())
         if b <= 3:
             return diagram(3, b).assign_signs(signs).writhe()
         base = b - 3
@@ -469,8 +466,7 @@ def writhe_recursive(a: int, b: int, signs: SignSeq | str) -> int:
     if a == 5:
         if b % 5 == 0:
             raise ValueError("writhe recursion needs b not divisible by 5")
-        if len(signs) != 2 * (b - 1):
-            raise ValueError("sign sequence length != 2(b-1)")
+        signs = check_signs(signs, 2 * (b - 1), frozenset())
         if b <= 5:
             return diagram(5, b).assign_signs(signs).writhe()
         base = b - 5

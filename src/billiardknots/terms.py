@@ -3,21 +3,25 @@
 A bracket expansion for a family of diagrams with indeterminate crossing
 signs is a sum of *slot terms*: each term is a power of δ times one factor
 per crossing slot, and each factor is a function of that slot's sign alone
-(a term's sign comes from its f2 factors).  Evaluating the sum against a
-concrete sign sequence produces the exact Kauffman bracket of that signed
-diagram.
+(a term's sign comes from its f2 factors).  A term is the plain pair
+``(delta, codes)``: an int δ-power and a ``bytes`` object holding one
+``Factor`` code per slot, so its width is ``len(codes)``.  Evaluating the
+sum against a concrete sign sequence produces the exact Kauffman bracket of
+that signed diagram.
 
-Factor alphabet (s is the slot sign, +1 or -1):
+Factor alphabet (s is the slot sign, +1 or -1).  A factor's code is the
+byte the evaluation kernel reads: its A-exponent at s = +1, plus 3, with
+bit 3 set for an f2 factor (a global -1).
 
-==========  =====================  ====================
-kind        value at s = +1        value at s = -1
-==========  =====================  ====================
-``APM``     A                      A^-1
-``AMP``     A^-1                   A
-``F2PM``    -A^-3                  -A^3
-``F2MP``    -A^3                   -A^-3
-``SKIP``    1 (slot must carry no crossing)
-==========  =====================  ====================
+==========  ====  =====================  ====================
+kind        code  value at s = +1        value at s = -1
+==========  ====  =====================  ====================
+``APM``     4     A                      A^-1
+``AMP``     2     A^-1                   A
+``F2PM``    8     -A^-3                  -A^3
+``F2MP``    14    -A^3                   -A^-3
+``SKIP``    3     1 (slot must carry no crossing)
+==========  ====  =====================  ====================
 
 ``F2PM``/``F2MP`` are the two one-crossing kink values; ``SKIP`` occupies a
 slot position that the diagram family leaves without a crossing, so sign
@@ -30,7 +34,7 @@ in the closed-form tables: the single factors (A^±, A^∓, f2^±, f2^∓, _) an
 never recurses.  ``add_all`` sums any number of term sums in one pass and
 ``product`` multiplies them out; both take the width and skip layout from
 their parts, so only the public ``TermSum`` constructor checks terms one by
-one.  A ``SlotTerm`` is a plain named tuple ``(delta, factors)``.
+one.
 
 Evaluation has one kernel, ``CompiledTermSum``: it packs a sum once into
 big ints with one fixed-width field per term, so a sign vector costs one
@@ -46,8 +50,7 @@ import sys
 from array import array
 from collections import Counter
 from enum import IntEnum
-from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .laurent import LaurentPoly, delta_power
 
@@ -56,19 +59,18 @@ SignSeq = tuple  # tuple of Sign
 
 
 class Factor(IntEnum):
-    APM = 0  # A^(+s)
-    AMP = 1  # A^(-s)
-    F2PM = 2  # -A^(-3s)
-    F2MP = 3  # -A^(+3s)
-    SKIP = 4
+    """A slot factor, valued as the code the packed kernel reads."""
+
+    APM = 4  # A^(+s)
+    AMP = 2  # A^(-s)
+    F2PM = 8  # -A^(-3s)
+    F2MP = 14  # -A^(+3s)
+    SKIP = 3
 
 
 _FACTOR_CODES = bytes(Factor)
-#: Factor code -> its A-exponent at sign +1, plus 3, with bit 3 set for an
-#: f2 factor (a global -1).
-_PACK = bytes.maketrans(_FACTOR_CODES, bytes((4, 2, 8 | 0, 8 | 6, 3)))
 
-_FACTOR_TEXT = ("A^±", "A^∓", "f2^±", "f2^∓", "_")
+_FACTOR_TEXT = dict(zip(Factor, ("A^±", "A^∓", "f2^±", "f2^∓", "_")))
 
 
 def parse_signs(text: str) -> SignSeq:
@@ -99,23 +101,13 @@ def check_signs(signs: SignSeq | str, width: int, skips: frozenset[int]) -> Sign
     return tuple(None if s is None else 1 if s == 1 else -1 for s in signs)
 
 
-class SlotTerm(NamedTuple):
-    """δ^delta times one factor per slot."""
-
-    delta: int
-    factors: tuple[Factor, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.factors)
-
-    def render(self) -> str:
-        prefix = "δ" if self.delta == 1 else f"δ^{self.delta}" if self.delta else ""
-        return f"{prefix}({','.join(_FACTOR_TEXT[f] for f in self.factors)})"
+def _render_term(delta: int, codes: bytes) -> str:
+    prefix = "δ" if delta == 1 else f"δ^{delta}" if delta else ""
+    return f"{prefix}({','.join(_FACTOR_TEXT[f] for f in codes)})"
 
 
 class TermSum:
-    """A finite list of slot terms sharing one slot width.
+    """A finite list of slot terms ``(delta, codes)`` sharing one slot width.
 
     Terms are kept literally as constructed (no cross-term simplification),
     so printed forms diff cleanly against the closed-form tables.
@@ -123,22 +115,22 @@ class TermSum:
 
     __slots__ = ("terms", "width", "skip_positions")
 
-    def __init__(self, terms: Iterable[SlotTerm], width: int | None = None):
-        self.terms: tuple[SlotTerm, ...] = tuple(terms)
+    def __init__(self, terms: Iterable[tuple[int, Iterable[Factor]]], width: int | None = None):
+        self.terms: tuple[tuple[int, bytes], ...] = tuple((d, bytes(f)) for d, f in terms)
         if width is None:
             if not self.terms:
                 raise ValueError("width required for an empty term sum")
-            width = self.terms[0].width
+            width = len(self.terms[0][1])
         self.width = width
         skips: set[int] | None = None
-        for t in self.terms:
-            if not isinstance(t.delta, int) or t.delta < 0:
-                raise ValueError(f"delta exponent must be an int >= 0, got {t.delta!r}")
-            if t.width != self.width:
-                raise ValueError(
-                    f"inconsistent widths: {t.width} vs {self.width}"
-                )
-            positions = {i for i, f in enumerate(t.factors) if f is Factor.SKIP}
+        for delta, codes in self.terms:
+            if not isinstance(delta, int) or delta < 0:
+                raise ValueError(f"delta exponent must be an int >= 0, got {delta!r}")
+            if len(codes) != width:
+                raise ValueError(f"inconsistent widths: {len(codes)} vs {width}")
+            if codes.translate(None, _FACTOR_CODES):
+                raise ValueError("factor codes must be Factor values")
+            positions = {i for i, f in enumerate(codes) if f == Factor.SKIP}
             if skips is None:
                 skips = positions
             elif skips != positions:
@@ -147,7 +139,7 @@ class TermSum:
 
     @classmethod
     def _trusted(
-        cls, terms: tuple[SlotTerm, ...], width: int, skips: frozenset[int]
+        cls, terms: tuple[tuple[int, bytes], ...], width: int, skips: frozenset[int]
     ) -> "TermSum":
         """A term sum whose terms are already known valid, with the width and
         skip layout they share; nothing is re-checked."""
@@ -164,11 +156,11 @@ class TermSum:
         return CompiledTermSum(self).evaluate(signs)
 
     def canonical(self) -> tuple:
-        """Order-free fingerprint: the multiset of (factors, delta) pairs."""
-        return tuple(sorted((t.factors, t.delta) for t in self.terms))
+        """Order-free fingerprint: the multiset of (codes, delta) pairs."""
+        return tuple(sorted((codes, delta) for delta, codes in self.terms))
 
     def render(self) -> str:
-        return "+".join(t.render() for t in self.terms) if self.terms else "0"
+        return "+".join(_render_term(*t) for t in self.terms) if self.terms else "0"
 
     def __repr__(self) -> str:
         return f"TermSum(width={self.width}, terms={len(self.terms)})"
@@ -178,7 +170,7 @@ def add_all(parts: Iterable[TermSum]) -> TermSum:
     """Sum of term sums in one pass: joins every part's terms and checks once
     per part that the widths and skip layouts agree; the terms themselves
     are not re-walked."""
-    terms: list[SlotTerm] = []
+    terms: list[tuple[int, bytes]] = []
     width = skips = None
     for part in parts:
         if width is None:
@@ -203,9 +195,7 @@ def product(*sums: TermSum) -> TermSum:
     width = 0
     skips: set[int] = set()
     for s in sums:
-        terms = [
-            SlotTerm(pd + qd, pf + qf) for pd, pf in terms for qd, qf in s.terms
-        ]
+        terms = [(pd + qd, pc + qc) for pd, pc in terms for qd, qc in s.terms]
         skips.update(width + i for i in s.skip_positions)
         width += s.width
     # An empty sum has no terms to carry skips, as in the TermSum constructor.
@@ -213,26 +203,27 @@ def product(*sums: TermSum) -> TermSum:
 
 
 #: Width-0 multiplicative unit.
-EMPTY = TermSum([SlotTerm(0, ())])
+EMPTY = TermSum([(0, ())])
 
-APM, AMP, F2PM, F2MP, SKIP = (TermSum([SlotTerm(0, (f,))]) for f in Factor)
+APM, AMP, F2PM, F2MP, SKIP = (TermSum([(0, (f,))]) for f in Factor)
 
 #: The units every block is spelled over, keyed by printed symbol: the five
 #: one-slot factor sums and ``δ``, the width-0 sum δ^1·().
-UNITS: dict[str, TermSum] = dict(zip(_FACTOR_TEXT, (APM, AMP, F2PM, F2MP, SKIP)))
-UNITS["δ"] = TermSum([SlotTerm(1, ())])
+UNITS: dict[str, TermSum] = dict(zip(_FACTOR_TEXT.values(), (APM, AMP, F2PM, F2MP, SKIP)))
+UNITS["δ"] = TermSum([(1, ())])
 
 
 class CompiledTermSum:
     """A term sum packed once, for evaluation at any number of sign vectors.
 
     Term j owns field j of a few big ints: one ``_FIELD`` array item (4
-    bytes), in native byte order.  Slot i's *column* holds, per term, its
-    factor's A-exponent at sign +1 plus 3 (0 to 6; 3 at a skip); at sign -1
-    the slot gives ``SIX - column`` (``SIX``: 6 in every field).  At width w
-    and r = 6w + 1, a term's *code* is then (2k + p)·r + e + 3w for δ-power
-    k, f2 count p mod 2 and A-exponent e.  The base is the all-(+1) code;
-    each slot at sign -1 adds ``SIX - 2·column`` to it.
+    bytes), in native byte order.  Slot i's *column* holds, per term, the low
+    three bits of its ``Factor`` code: the A-exponent at sign +1 plus 3 (0
+    to 6; 3 at a skip); at sign -1 the slot gives ``SIX - column`` (``SIX``:
+    6 in every field).  At width w and r = 6w + 1, a term's *code* is then
+    (2k + p)·r + e + 3w for δ-power k, f2 count p mod 2 and A-exponent e.
+    The base is the all-(+1) code; each slot at sign -1 adds
+    ``SIX - 2·column`` to it.
 
     Exact: every code is below (2·max k + 2)·r, so no field carries while
     that is at most 2^32 (2 to the field's bits); past it the constructor
@@ -248,14 +239,11 @@ class CompiledTermSum:
         self._r = r = 6 * w + 1
         size = array(self._FIELD).itemsize
         self._bytes = len(ts.terms) * size
-        deltas, factors = zip(*ts.terms) if ts.terms else ((), ())
+        deltas, rows = zip(*ts.terms) if ts.terms else ((), ())
         max_k = max(deltas, default=0)
         if (2 * max_k + 2) * r > 1 << 8 * size:
             raise ValueError(f"width {w} at δ-power {max_k} overflows {8 * size}-bit fields")
-        codes = bytes(chain.from_iterable(factors))
-        if codes.translate(None, _FACTOR_CODES):
-            raise ValueError("factor codes must be Factor values")
-        codes = codes.translate(_PACK)
+        codes = b"".join(rows)
         ones = int.from_bytes(array(self._FIELD, (1,)) * len(deltas), sys.byteorder)
         self._six, sevens = 6 * ones, 7 * ones
         buf = bytearray(self._bytes)

@@ -204,7 +204,12 @@ def test_criterion_09_writhe_recursions():
 
 
 def test_criterion_10_tiling_bijection():
-    from billiardknots.tiling import enumerate_term_tilings, render_tilings, tiling_to_term
+    from billiardknots.tiling import (
+        count_domino_tilings,
+        enumerate_term_tilings,
+        render_tilings,
+        tiling_to_term,
+    )
     from tests.test_tiling import TILES_RENDERED
 
     ok = True
@@ -217,7 +222,13 @@ def test_criterion_10_tiling_bijection():
             ok = False
         if b in TILES_RENDERED and render_tilings(b) != TILES_RENDERED[b]:
             ok = False
-    report(10, ok, "term tilings: counts, dictionary round trip, printed listings (b=4..10)")
+    # Each term tiling with m C-squares stands for 2^m domino tilings.
+    for b in range(4, 13):
+        terms = f_terms(b).canonical()
+        if not len(set(terms)) == len(terms) == count_domino_tilings(b - 1):
+            ok = False
+    report(10, ok, "term tilings: counts, dictionary round trip, printed listings (b=4..10); "
+                   "flat f terms distinct and counted by domino tilings (b=4..12)")
 
 
 def test_criterion_11_performance():

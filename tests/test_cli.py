@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -359,6 +360,16 @@ def test_bench_small(capsys):
         data["oracle_seconds"] / (data["expansion_seconds"] + data["recursion_seconds"])
     )
     assert data["end_to_end_speedup"] < data["speedup"]
+
+
+def test_bench_prints_a_speedup_below_one(capsys, monkeypatch):
+    # A fake clock: expansion 0 s, evaluation 4 s, oracle 1 s.
+    ticks = iter((0.0, 0.0, 0.0, 4.0, 4.0, 5.0))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    code, out, _ = run(capsys, "bench", "--a", "3", "--b", "4")
+    assert code == 0
+    assert "end-to-end speedup (expansion + evaluation): 0.25x" in out
+    assert out.endswith("warm speedup (evaluation only): 0.25x")
 
 
 def test_bench_mismatch_exit_1(capsys, monkeypatch):

@@ -389,3 +389,11 @@ def test_writhe_recursive_rejects_link_widths():
         writhe_recursive(4, 3, "+++")
     with pytest.raises(ValueError):
         writhe_recursive(3, 4, "+-")
+
+
+def test_writhe_recursive_rejects_bad_signs():
+    # Every sign is checked, not only those of the directly counted base.
+    for a, b, signs in [(3, 4, (1, 0, 1)), (3, 5, (1, 2, 1, -1)),
+                        (5, 7, (1,) * 11 + (0,)), (5, 7, (1,) * 11 + (None,))]:
+        with pytest.raises(ValueError):
+            writhe_recursive(a, b, signs)

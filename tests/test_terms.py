@@ -1,5 +1,8 @@
+import inspect
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,6 @@ from billiardknots.terms import (
     UNITS,
     CompiledTermSum,
     Factor,
-    SlotTerm,
     TermSum,
     add_all,
     parse_signs,
@@ -115,7 +117,7 @@ def test_p2_blocks_flat_shape():
 
 
 def test_eval_errors():
-    skip_first = TermSum([SlotTerm(0, (Factor.SKIP, Factor.APM))])
+    skip_first = TermSum([(0, (Factor.SKIP, Factor.APM))])
     evaluators = [
         (expand_block("h2").evaluate, skip_first.evaluate),
         (CompiledTermSum(expand_block("h2")).evaluate, CompiledTermSum(skip_first).evaluate),
@@ -139,20 +141,21 @@ def test_eval_errors():
 
 
 def test_slot_term_is_an_immutable_tuple():
-    t = SlotTerm(2, (Factor.APM, Factor.SKIP, Factor.F2MP))
-    assert isinstance(t, tuple)
-    assert tuple(t) == (2, (Factor.APM, Factor.SKIP, Factor.F2MP))
-    assert (t.width, t.render()) == (3, "δ^2(A^±,_,f2^∓)")
-    assert (SlotTerm(0, ()).width, SlotTerm(1, ()).render()) == (0, "δ()")
-    assert hash(t) == hash(SlotTerm(2, t.factors))
-    with pytest.raises(AttributeError):
-        t.delta = 3
+    ts = TermSum([(2, (Factor.APM, Factor.SKIP, Factor.F2MP))])
+    (t,) = ts.terms
+    assert type(t) is tuple
+    assert t == (2, bytes((Factor.APM, Factor.SKIP, Factor.F2MP)))
+    assert (ts.width, ts.render()) == (3, "δ^2(A^±,_,f2^∓)")
+    assert (TermSum([(0, ())]).width, TermSum([(1, ())]).render()) == (0, "δ()")
+    assert hash(t) == hash((2, t[1]))
+    with pytest.raises(TypeError):
+        t[0] = 3
 
 
 def test_term_sum_width_consistency():
-    narrow, wide = SlotTerm(0, (Factor.APM,)), SlotTerm(0, (Factor.APM, Factor.APM))
-    skip_first = SlotTerm(0, (Factor.SKIP, Factor.APM))
-    skip_last = SlotTerm(0, (Factor.APM, Factor.SKIP))
+    narrow, wide = (0, (Factor.APM,)), (0, (Factor.APM, Factor.APM))
+    skip_first = (0, (Factor.SKIP, Factor.APM))
+    skip_last = (0, (Factor.APM, Factor.SKIP))
     builders = [
         TermSum,
         lambda terms: add_all(TermSum([t]) for t in terms),
@@ -167,7 +170,7 @@ def test_term_sum_width_consistency():
 def test_negative_delta_rejected():
     for delta in (-1, 1.0, None):
         with pytest.raises(ValueError, match="delta"):
-            TermSum([SlotTerm(delta, (Factor.APM,))])
+            TermSum([(delta, (Factor.APM,))])
 
 
 #: Every block of the registry as it prints: render, width, skipped slots.
@@ -199,7 +202,7 @@ def test_block_layouts():
     for name, (render, width, skips) in BLOCK_LAYOUTS.items():
         ts = expand_block(name)
         assert (ts.render(), ts.width, ts.skip_positions) == (render, width, skips), name
-    assert expand_block("δ").terms == (SlotTerm(1, ()),)
+    assert expand_block("δ").terms == ((1, b""),)
 
 
 def test_render():
@@ -270,7 +273,7 @@ def test_compiled_exhaustive_small():
 
 def test_delta_power_decomposition_past_64():
     scaled = TermSum(
-        [SlotTerm(70, (Factor.APM, Factor.F2MP)), SlotTerm(0, (Factor.AMP, Factor.APM))]
+        [(70, (Factor.APM, Factor.F2MP)), (0, (Factor.AMP, Factor.APM))]
     )
     assert scaled.render() == "δ^70(A^±,f2^∓)+(A^∓,A^±)"
     for signs in ("++", "+-", "-+", "--"):
@@ -300,32 +303,41 @@ def test_empty_and_width_zero_sums():
     assert EMPTY.evaluate(()) == LaurentPoly.one()
     assert UNITS["δ"].evaluate("") == DELTA
     assert CompiledTermSum(UNITS["δ"]).evaluate(()) == DELTA
-    scalars = TermSum([SlotTerm(0, ()), SlotTerm(3, ()), SlotTerm(3, ())], 0)
+    scalars = TermSum([(0, ()), (3, ()), (3, ())], 0)
     assert scalars.evaluate(()) == delta_power(3) + delta_power(3) + 1
+
+
+def test_factors_are_the_kernel_codes():
+    # A factor's value is the byte the packed kernel reads, so no module
+    # keeps a second encoding and the kernel neither checks nor translates.
+    assert [int(f) for f in Factor] == [4, 2, 8, 14, 3]
+    init = inspect.getsource(CompiledTermSum.__init__)
+    assert "translate" not in init and "Factor" not in init
+    root = Path(__file__).resolve().parents[1]
+    for path in [*root.glob("src/billiardknots/*.py"), root / "README.md"]:
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"SlotTerm|_PACK|chain\.from_iterable|NamedTuple", text), path
 
 
 def test_factor_code_outside_the_five_raises():
     for code in (5, 255, 256, -1):
-        bad = TermSum([SlotTerm(0, (Factor.APM, code))])
         with pytest.raises(ValueError):
-            bad.evaluate("++")
-        with pytest.raises(ValueError):
-            CompiledTermSum(bad)
+            TermSum([(0, (Factor.APM, code))])
 
 
 def test_packing_bound(monkeypatch):
     # Codes stay below (2·max δ + 2)·(6w + 1) and must fit the field.
     # 32-bit fields at width 1: δ = 306783377 is the largest that fits.
-    CompiledTermSum(TermSum([SlotTerm(306_783_377, (Factor.APM,))]))
+    CompiledTermSum(TermSum([(306_783_377, (Factor.APM,))]))
     with pytest.raises(ValueError, match="overflows"):
-        CompiledTermSum(TermSum([SlotTerm(306_783_378, (Factor.APM,))]))
+        CompiledTermSum(TermSum([(306_783_378, (Factor.APM,))]))
     # 16-bit fields: (δ, w) = (9, 545) is the largest at δ = 9 and evaluates
     # exactly, with the top code 2^16 - 117 in the all-f2 term.
     monkeypatch.setattr(CompiledTermSum, "_FIELD", "H")
     width = 545
     rng = random.Random(5)
-    terms = [SlotTerm(9, (Factor.F2MP,) * width), SlotTerm(9, (Factor.F2PM,) * width)]
-    terms += [SlotTerm(rng.randrange(10), tuple(rng.choice(_LIVE) for _ in range(width)))
+    terms = [(9, (Factor.F2MP,) * width), (9, (Factor.F2PM,) * width)]
+    terms += [(rng.randrange(10), tuple(rng.choice(_LIVE) for _ in range(width)))
               for _ in range(6)]
     ts = TermSum(terms)
     compiled = CompiledTermSum(ts)
@@ -333,8 +345,8 @@ def test_packing_bound(monkeypatch):
                   tuple(rng.choice((1, -1)) for _ in range(width))):
         want = _per_term_sum(ts, signs)
         assert compiled.evaluate(signs) == ts.evaluate(signs) == want
-    for past in (TermSum([SlotTerm(10, (Factor.APM,) * width)]),
-                 TermSum([SlotTerm(9, (Factor.APM,) * (width + 1))])):
+    for past in (TermSum([(10, (Factor.APM,) * width)]),
+                 TermSum([(9, (Factor.APM,) * (width + 1))])):
         with pytest.raises(ValueError, match="overflows"):
             CompiledTermSum(past)
         with pytest.raises(ValueError, match="overflows"):
@@ -348,6 +360,7 @@ def test_built_sums_match_validated_construction():
     for ts in built + [expand_block(name) for name in [*UNITS, *BLOCK_SPELLINGS]]:
         checked = TermSum(ts.terms, ts.width)
         assert (checked.width, checked.skip_positions) == (ts.width, ts.skip_positions)
+        assert all(type(codes) is bytes for _, codes in ts.terms)
     assert b_terms(4).skip_positions == {4}
 
 
@@ -374,21 +387,21 @@ def _per_term_sum(ts, signs):
     value = {Factor.APM: (1, 1), Factor.AMP: (-1, 1), Factor.F2PM: (-3, -1),
              Factor.F2MP: (3, -1), Factor.SKIP: (0, 1)}
     total = LaurentPoly.zero()
-    for t in ts.terms:
+    for delta, codes in ts.terms:
         exponent, coefficient = 0, 1
-        for f, s in zip(t.factors, signs):
+        for f, s in zip(codes, signs):
             weight, c = value[f]
             exponent += weight * (s or 0)
             coefficient *= c
-        total = total + A(exponent, coefficient) * delta_power(t.delta)
+        total = total + A(exponent, coefficient) * delta_power(delta)
     return total
 
 
 def test_evaluation_matches_per_term_reference():
     rng = random.Random(20)
-    scaled = TermSum([SlotTerm(70, (Factor.APM, Factor.F2MP)),
-                      SlotTerm(3, (Factor.AMP, Factor.F2PM)),
-                      SlotTerm(70, (Factor.AMP, Factor.APM))])
+    scaled = TermSum([(70, (Factor.APM, Factor.F2MP)),
+                      (3, (Factor.AMP, Factor.F2PM)),
+                      (70, (Factor.AMP, Factor.APM))])
     sums = [fam(n) for fam in FAMILIES.values() for n in range(1, 10)] + [scaled]
     for ts in sums:
         compiled = CompiledTermSum(ts)
@@ -421,7 +434,7 @@ def _term_sums_and_signs(draw):
     deltas = draw(st.lists(st.integers(0, 70), min_size=len(layouts), max_size=len(layouts)))
     mode = draw(st.sampled_from((1, -1, 0)))
     signs = tuple(None if i in skips else mode or rng.choice((1, -1)) for i in range(width))
-    return TermSum([SlotTerm(d, fs) for d, fs in zip(deltas, layouts)], width), signs
+    return TermSum([(d, fs) for d, fs in zip(deltas, layouts)], width), signs
 
 
 @settings(max_examples=150, deadline=None)
@@ -437,7 +450,7 @@ def test_evaluation_kernel_at_full_negative_count():
     # Every slot of the widest drawn width negative: exponent ±3w, sign (-1)^w.
     for width in (39, 40):
         for factor, weight in ((Factor.F2MP, 3), (Factor.F2PM, -3)):
-            ts = TermSum([SlotTerm(70, (factor,) * width)])
+            ts = TermSum([(70, (factor,) * width)])
             for s in (1, -1):
                 want = A(weight * s * width, (-1) ** width) * delta_power(70)
                 assert ts.evaluate((s,) * width) == want

@@ -69,6 +69,11 @@ def test_round_trip_reproduces_f_terms():
     for b in range(4, 11):
         mapped = add_all(tiling_to_term(t) for t in enumerate_term_tilings(b))
         assert mapped.canonical() == f_terms(b).canonical(), b
+    # Independent of the summands: a term tiling with m C-squares stands for
+    # its 2^m domino tilings, one flat term each.
+    for b in range(4, 13):
+        terms = f_terms(b).canonical()
+        assert len(set(terms)) == len(terms) == count_domino_tilings(b - 1), b
 
 
 def test_injectivity():
