@@ -15,8 +15,9 @@ sum_pi delta^(L(pi) - 1) * prod_c A^(+1 if pi_c == eps_c else -1), i.e. the
 per crossing - a butterfly over the sign group, like a Walsh-Hadamard
 transform.  L itself is built by the same per-crossing doubling, as whole
 arrays of arc labels rather than one union-find per state.
-``bracket_bruteforce`` stays deliberately plain - one union-find per state -
-since it is the oracle the fast paths are judged against.
+``bracket_bruteforce`` stays deliberately plain - a walk of the smoothing
+tree over one union-find, no numpy - since it is the oracle the fast paths
+are judged against.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .terms import signs_text
 _PAIRING_V = ((SE, NE), (NW, SW))
 _PAIRING_H = ((NE, NW), (SW, SE))
 
-#: Crossing-count limit of ``bracket_bruteforce``: one union-find run per
-#: state, 2^k states.
+#: Crossing-count limit of ``bracket_bruteforce``: its smoothing tree has
+#: 2^k leaves.
 ORACLE_LIMIT = 24
 
 #: Crossing-count limit of ``bracket_all_signs``: the sweep holds a 2^k loop
@@ -61,8 +62,10 @@ def bracket_bruteforce(
 ) -> LaurentPoly:
     """Kauffman bracket by summing all 2^k smoothing states.
 
-    ``order`` permutes the sequence in which crossings are smoothed; the
-    result provably does not depend on it (exposed so tests can check).
+    A depth-first walk of the smoothing tree over one union-find: crossings
+    are smoothed in ``order`` (the result provably does not depend on it;
+    exposed so tests can check), A first, and merges are undone on the way
+    back up.
     """
     d = sd.diagram
     k = d.crossing_count
@@ -75,41 +78,30 @@ def bracket_bruteforce(
     seq = list(order) if order is not None else list(range(k))
     if sorted(seq) != list(range(k)):
         raise ValueError("order must be a permutation of the crossings")
-    neg_mask = 0
-    for i, s in enumerate(sd.crossing_signs):
-        if s == -1:
-            neg_mask |= 1 << i
-
-    n_arcs = d.arc_count
+    # Per step, A's then B's arc pairs; a '-' crossing swaps them (_PAIRING_V).
+    steps = [pairings[c][:: sd.crossing_signs[c]] for c in seq]
+    parent = list(range(d.arc_count))
     tally: dict[tuple[int, int], int] = {}
-    for sigma in range(1 << k):
-        parent = list(range(n_arcs))
-        roots = n_arcs
-        pi = sigma ^ neg_mask
-        for c in seq:
-            x, y = pairings[c][(pi >> c) & 1][0]
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                parent[x] = y
-                roots -= 1
-            x, y = pairings[c][(pi >> c) & 1][1]
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                parent[x] = y
-                roots -= 1
-        key = (k - 2 * sigma.bit_count(), roots + d.free_loops)
-        tally[key] = tally.get(key, 0) + 1
 
+    def walk(depth: int, exp: int, loops: int) -> None:
+        if depth == k:
+            tally[exp, loops] = tally.get((exp, loops), 0) + 1
+            return
+        for pairs, e in zip(steps[depth], (exp + 1, exp - 1)):
+            merged = []
+            for x, y in pairs:
+                while parent[x] != x:
+                    x = parent[x]
+                while parent[y] != y:
+                    y = parent[y]
+                if x != y:
+                    parent[x] = y
+                    merged.append(x)
+            walk(depth + 1, e, loops - len(merged))
+            for x in merged:
+                parent[x] = x
+
+    walk(0, 0, d.arc_count + d.free_loops)
     total = LaurentPoly.zero()
     for (exp, loops), count in tally.items():
         total = total + LaurentPoly.monomial(exp, count) * delta_power(loops - 1)
@@ -151,11 +143,11 @@ def bracket_all_signs(d: BilliardDiagram) -> dict[str, LaurentPoly]:
     """Brute-force bracket for every sign assignment of the diagram.
 
     k doubling passes over arc-label arrays fill the loop table
-    (``_loops_table``); k butterfly passes over it (one per crossing, two
-    shifted adds along the exponent axis each) then give every sign
-    assignment's bracket at once, keyed and ordered as ``sign_sequences``.
-    The tests cross-check this against per-state ``bracket_bruteforce`` runs
-    and the loop table against a plain union-find.
+    (``_loops_table``); k butterfly passes over it (one per crossing) then
+    give every sign assignment's bracket at once, keyed and ordered as
+    ``sign_sequences``, with one shared polynomial per distinct bracket.
+    The tests cross-check this against ``bracket_bruteforce`` runs and the
+    loop table against a plain union-find.
     """
     import numpy as np  # imported where used: the closed forms never need it
 
@@ -180,25 +172,28 @@ def bracket_all_signs(d: BilliardDiagram) -> dict[str, LaurentPoly]:
             seed[n, e // 2 + max_loops - 1] = c
     coef = seed[loops - 1]
     for c in range(k):
+        # Symmetric kernel: each half is the other plus itself shifted.
         pair = coef.reshape(-1, 2, 1 << c, off + 1)
-        p0, p1 = pair[:, 0], pair[:, 1]
-        out = np.empty_like(pair)
-        out[:, 0] = p1
-        out[:, 0, :, 1:] += p0[..., :-1]
-        out[:, 1] = p0
-        out[:, 1, :, 1:] += p1[..., :-1]
+        out = pair[:, ::-1].copy()
+        out[..., 1:] += pair[..., :-1]
         coef = out.reshape(coef.shape)
     # Row index has crossing c at bit c; sign_sequences varies crossing 0
     # slowest, so reverse the bit axes.
     coef = coef.reshape((2,) * k + (off + 1,))
     coef = coef.transpose(tuple(reversed(range(k))) + (k,)).reshape(1 << k, off + 1)
+    # Few rows are distinct: key each row by its bytes and build one
+    # polynomial per distinct row, shared by every sign vector that has it.
+    keys = coef.view(np.dtype((np.void, coef.strides[0]))).ravel().tolist()
+    distinct = dict.fromkeys(keys)
+    rows = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, off + 1)
     # Strip zeros in numpy; nonzero() walks row-major, so each row's
     # exponents come out ascending.
-    rows, cols = np.nonzero(coef)
+    r, cols = np.nonzero(rows)
     exps = iter((2 * cols - off).tolist())
-    vals = iter(coef[rows, cols].tolist())
-    counts = np.count_nonzero(coef, axis=1).tolist()
-    return {
-        text: LaurentPoly._raw(dict(zip(islice(exps, n), islice(vals, n))))
-        for text, n in zip(sign_sequences(d), counts)
+    vals = iter(rows[r, cols].tolist())
+    counts = np.count_nonzero(rows, axis=1).tolist()
+    poly = {
+        key: LaurentPoly._raw(dict(zip(islice(exps, n), islice(vals, n))))
+        for key, n in zip(distinct, counts)
     }
+    return dict(zip(sign_sequences(d), map(poly.__getitem__, keys)))

@@ -107,7 +107,8 @@ def test_crossing_limit():
 
 def test_all_signs_matches_bruteforce():
     cases = [(3, 5, 0), (5, 3, 0), (5, 4, 2), (5, 4, 1), (3, 6, 0),
-             (3, 8, 0), (4, 5, 0), (5, 5, 0), (5, 5, 1), (5, 6, 2)]
+             (3, 8, 0), (3, 9, 0), (3, 10, 0), (4, 5, 0), (5, 5, 0),
+             (5, 5, 1), (5, 5, 2), (5, 6, 2)]
     for a, b, bump in cases:
         d = diagram(a, b, bumpers=bump)
         table = bracket_all_signs(d)
@@ -123,6 +124,20 @@ def test_all_signs_sampled_at_sweep_limit():
     rng = random.Random(14)
     for s in rng.sample(list(table), 20):
         assert table[s] == bracket_bruteforce(d.assign_signs(s))
+
+
+def test_all_signs_entries_do_not_alias():
+    # Sign vectors with equal brackets may share one polynomial; working
+    # with one entry must leave every other entry as it was.
+    d = diagram(3, 8)
+    table = bracket_all_signs(d)
+    assert len({id(v) for v in table.values()}) < len(table)
+    before = {s: dict(v.terms) for s, v in table.items()}
+    for s in table:
+        v = table[s] + 1
+        assert v == LaurentPoly(before[s]) + 1
+        assert table[s].mirror() == LaurentPoly(before[s]).mirror()
+        assert {t: dict(w.terms) for t, w in table.items()} == before
 
 
 def test_all_signs_mirror():

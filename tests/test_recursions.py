@@ -303,6 +303,87 @@ def test_prime_even_block_flavor_resolution():
     assert _sweep_ok(d6, h_terms(6))
 
 
+# -- past the sweep limit ----------------------------------------------
+
+#: Tables one size past what the sweep reaches (15-16 crossings), with the
+#: closed form that spells each; P'_i with j >= 2 first appears here.
+PAST_SWEEP = {
+    "h9": (diagram(5, 9), lambda: h_terms(9)),
+    "b9": (diagram(5, 9, bumpers=2), lambda: b_terms(9)),
+    "bt9": (diagram(5, 9, bumpers=1), lambda: bt_terms(9)),
+    "f16": (diagram(3, 16), lambda: f_terms(16)),
+}
+
+
+def _past_sweep_signs(d, count=8, seed=9):
+    """All-+, alternating, ++-- and seeded random vectors (no slot skipped)."""
+    n = d.slot_count
+    rng = random.Random(seed)
+    fixed = ["+" * n, ("+-" * n)[:n], ("++--" * n)[:n]]
+    return fixed + ["".join(rng.choice("+-") for _ in range(n)) for _ in range(count - 3)]
+
+
+@pytest.fixture(scope="module")
+def past_sweep_oracle():
+    """bracket_bruteforce on every PAST_SWEEP table's vectors, run once."""
+    return {
+        name: [(s, bracket_bruteforce(d.assign_signs(s))) for s in _past_sweep_signs(d)]
+        for name, (d, _) in PAST_SWEEP.items()
+    }
+
+
+def _past_sweep_mismatches(oracle, names):
+    out = []
+    for name in names:
+        evaluator = CompiledTermSum(PAST_SWEEP[name][1]())
+        out += [(name, s) for s, want in oracle[name] if evaluator.evaluate(s) != want]
+    return out
+
+
+def test_closed_forms_match_bruteforce_past_sweep_limit(past_sweep_oracle):
+    assert all(len(set(v)) == 8 for v in past_sweep_oracle.values())
+    assert _past_sweep_mismatches(past_sweep_oracle, PAST_SWEEP) == []
+
+
+def _replace_last(summand, old, new):
+    i = len(summand) - 1 - summand[::-1].index(old)
+    return summand[:i] + (new,) + summand[i + 1:]
+
+
+def _odd_prime_r_closing_on_n_tilde(spell):
+    """P'_i, odd i = 2j+3 >= 7: the R summand's last N read as Ñ."""
+    def respelled(i, tilde):
+        out = spell(i, tilde)
+        if tilde or i % 2 == 0 or i < 7:
+            return out
+        return (_replace_last(out[0], "N", "Ñ"),) + out[1:]
+    return respelled
+
+
+def _third_k_read_as_n(spell):
+    """P'/P̃': in a summand with three or more K, the last K read as N."""
+    def respelled(i, tilde):
+        return tuple(_replace_last(s, "K", "N") if s.count("K") >= 3 else s
+                     for s in spell(i, tilde))
+    return respelled
+
+
+@pytest.mark.parametrize("mutant", [_odd_prime_r_closing_on_n_tilde, _third_k_read_as_n])
+def test_deep_p_templates_resolved_past_sweep_limit(mutant, monkeypatch, past_sweep_oracle):
+    """P'_i for j >= 2 only enters tables past the sweep limit.
+
+    Either respelling there passes every sweep-sized check; the bruteforce
+    comparison at 15-16 crossings rejects both.
+    """
+    monkeypatch.setattr(recursions, "p_spelling", mutant(recursions.p_spelling))
+    expand_block.cache_clear()
+    try:
+        assert _past_sweep_mismatches(past_sweep_oracle, ("h9", "b9", "bt9"))
+    finally:
+        monkeypatch.undo()
+        expand_block.cache_clear()
+
+
 # -- bumpered families -------------------------------------------------
 
 
