@@ -43,8 +43,6 @@ that arc enters its pass j + 1.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .terms import SignSeq, check_signs
@@ -62,27 +60,49 @@ def _slope(d: Dir) -> int:
     return 1 if d[0] == d[1] else -1
 
 
-@dataclass(frozen=True)
 class TableSpec:
     """Size and bumper layout of a billiard table.
 
     ``bumpers`` counts squares removed from the last column; the parity rule
     (see module docstring) derives the ``side`` they are removed from.
+    A spec is validated when built, immutable, and equal (and hash equal) to
+    every spec with the same ``(a, b, bumpers)``.
     """
 
-    a: int
-    b: int
-    bumpers: int = 0
+    __slots__ = ("a", "b", "bumpers")
 
-    def __post_init__(self):
-        if self.a not in (3, 4, 5):
-            raise ValueError(f"unsupported table height a={self.a}")
-        if self.b < 1:
+    def __init__(self, a: int, b: int, bumpers: int = 0):
+        if a not in (3, 4, 5):
+            raise ValueError(f"unsupported table height a={a}")
+        if b < 1:
             raise ValueError("table width b must be >= 1")
-        if self.bumpers not in (0, 1, 2):
+        if bumpers not in (0, 1, 2):
             raise ValueError("bumpers must be 0, 1 or 2")
-        if self.bumpers and self.a != 5:
+        if bumpers and a != 5:
             raise ValueError("bumpered tables are only supported at a=5")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "bumpers", bumpers)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TableSpec is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TableSpec is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple[int, int, int]:
+        return (self.a, self.b, self.bumpers)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"TableSpec(a={self.a}, b={self.b}, bumpers={self.bumpers})"
 
     @property
     def side(self) -> Optional[str]:
@@ -107,31 +127,35 @@ class TableSpec:
         return f"B{mark}{self.bumpers}(5,{self.b})"
 
 
-@dataclass
 class Crossing:
     """One 4-valent vertex: grid position, incident arcs, and strand data."""
 
-    index: int
-    x: int
-    y: int
-    arcs: list[int] = field(default_factory=lambda: [-1, -1, -1, -1])
-    # Direction of the slope +1 and slope -1 passes along their components.
-    dir_plus: Dir = (1, 1)
-    dir_minus: Dir = (1, -1)
+    __slots__ = ("index", "x", "y", "arcs", "dir_plus", "dir_minus")
+
+    def __init__(self, index: int, x: int, y: int):
+        self.index = index
+        self.x = x
+        self.y = y
+        self.arcs = [-1, -1, -1, -1]
+        # Direction of the slope +1 and slope -1 passes along their components.
+        self.dir_plus = (1, 1)
+        self.dir_minus = (1, -1)
 
     @property
     def position(self) -> Vertex:
         return (self.x, self.y)
 
 
-@dataclass
 class Slot:
     """A position of the full-table crossing grid; skipped when the bumper
     removes the crossing there but later slots survive."""
 
-    x: int
-    y: int
-    real: bool
+    __slots__ = ("x", "y", "real")
+
+    def __init__(self, x: int, y: int, real: bool):
+        self.x = x
+        self.y = y
+        self.real = real
 
 
 class BilliardDiagram:
@@ -344,6 +368,8 @@ class BilliardDiagram:
         return v - e + faces == 1 + comps
 
     def json_dump(self) -> str:
+        import json  # imported where used: nothing else in the package needs it
+
         data = {
             "schema": 2,
             "table": self.spec.label(),

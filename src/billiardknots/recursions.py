@@ -37,7 +37,6 @@ old width's residue and parity; bases come from direct counts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Sequence
@@ -275,12 +274,14 @@ def compositions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class HSkeleton:
     """One (i, composition) skeleton of the height-5 expansion."""
 
-    i: int
-    tail: tuple[int, ...]
+    __slots__ = ("i", "tail")
+
+    def __init__(self, i: int, tail: tuple[int, ...]):
+        self.i = i
+        self.tail = tail
 
     def head_names(self) -> tuple[str, str, str]:
         return (_p_name(self.i - 2, tilde=True), _p_name(self.i - 1, tilde=False),

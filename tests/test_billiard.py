@@ -139,6 +139,26 @@ def test_parity_rule_rejections():
         TableSpec(6, 4)
 
 
+def test_table_spec_is_an_immutable_value():
+    spec = TableSpec(5, 7, 2)
+    same = TableSpec(a=5, b=7, bumpers=2)
+    assert spec == same and hash(spec) == hash(same)
+    assert len({spec, same}) == 1
+    assert {spec: "x"}[same] == "x"
+    assert spec != TableSpec(5, 7, 1) and spec != TableSpec(5, 7)
+    assert TableSpec(5, 7) == TableSpec(5, 7, 0)
+    assert spec != (5, 7, 2)
+    with pytest.raises(AttributeError):
+        spec.a = 3
+    assert spec.a == 5
+    for args, message in [((6, 4), "unsupported table height a=6"),
+                          ((5, 0), "table width b must be >= 1"),
+                          ((5, 4, 3), "bumpers must be 0, 1 or 2"),
+                          ((4, 5, 1), "only supported at a=5")]:
+        with pytest.raises(ValueError, match=message):
+            TableSpec(*args)
+
+
 def test_every_table_has_at_least_b_minus_1_crossings():
     # The CLI refuses widths past a crossing limit + 1 before tracing them.
     built = 0

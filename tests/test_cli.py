@@ -260,12 +260,17 @@ def test_oversized_expansion_exit_2(capsys):
 
 
 def test_closed_form_routes_do_not_load_numpy():
+    # The import also loads none of dataclasses, inspect and json; a module
+    # the interpreter's site had already loaded does not count.
     script = """
 import sys
+LEAN = ("dataclasses", "inspect", "json")
+preloaded = set(sys.modules)
 def numpy_loaded(step):
     print("@", step, "numpy" in sys.modules)
 import billiardknots
 numpy_loaded("import")
+print("% import loaded", [m for m in LEAN if m in sys.modules and m not in preloaded])
 from billiardknots import cli
 cli.main(["bracket", "--b", "6", "--signs", "++--++--++"])
 numpy_loaded("bracket")
@@ -285,7 +290,9 @@ numpy_loaded("bracket_all_signs")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    loaded = [line[2:] for line in proc.stdout.splitlines() if line.startswith("@ ")]
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("% ")] == ["% import loaded []"]
+    loaded = [line[2:] for line in lines if line.startswith("@ ")]
     assert loaded == ["import False", "bracket False", "jones False",
                       "CompiledTermSum False", "bench False",
                       "bracket_bruteforce False", "bracket_all_signs True"]
