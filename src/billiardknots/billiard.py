@@ -72,6 +72,9 @@ class TableSpec:
     __slots__ = ("a", "b", "bumpers")
 
     def __init__(self, a: int, b: int, bumpers: int = 0):
+        for name, value in (("a", a), ("b", b), ("bumpers", bumpers)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"table {name} must be an int, got {value!r}")
         if a not in (3, 4, 5):
             raise ValueError(f"unsupported table height a={a}")
         if b < 1:

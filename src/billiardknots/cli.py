@@ -219,17 +219,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    table, pattern, build = (
+        (TABLE1_ROWS, "+-", f_terms) if args.which == 1 else (TABLE2_ROWS, "++--", h_terms)
+    )
     rows = []
-    if args.which == 1:
-        for b, name in TABLE1_ROWS:
-            signs = "".join("+-"[i % 2] for i in range(b - 1))
-            coeffs = coefficient_string(f_terms(b).evaluate(signs))
-            rows.append((b, name, signs, coeffs))
-    else:
-        for b, name in TABLE2_ROWS:
-            signs = "".join("++--"[i % 4] for i in range(2 * (b - 1)))
-            coeffs = coefficient_string(h_terms(b).evaluate(signs))
-            rows.append((b, name, signs, coeffs))
+    for b, name in table:
+        ts = build(b)
+        signs = "".join(pattern[i % len(pattern)] for i in range(ts.width))
+        rows.append((b, name, signs, coefficient_string(ts.evaluate(signs))))
     lines = [
         f"{b} | {name} | ({','.join(str(c) for c in coeffs)})"
         for b, name, signs, coeffs in rows

@@ -2,7 +2,9 @@
 
 The state sum runs over all 2^k smoothing choices.  Each state contributes
 A^(#A - #B) * delta^(loops - 1), the loop count coming from a union-find over
-the diagram's arcs; the unknot normalizes to 1.
+the diagram's arcs plus its free loops (closed strands through no crossing);
+the unknot normalizes to 1.  A diagram with no crossing is the one state of
+its free loops, so both routes count it as they count the rest.
 
 At a crossing whose over strand has slope +1, the A-smoothing joins the
 (SE,NE) and (NW,SW) port pairs; with the slope -1 strand on top the two
@@ -30,7 +32,6 @@ if TYPE_CHECKING:
 
 from .billiard import NE, NW, SE, SW, BilliardDiagram, SignedDiagram
 from .laurent import LaurentPoly, delta_power
-from .terms import signs_text
 
 #: Port pairs for the two smoothings: index 0 when the NE-sloped strand is
 #: over and the state picks A (or the NW-sloped strand is over and the state
@@ -71,8 +72,6 @@ def bracket_bruteforce(
     k = d.crossing_count
     if k > ORACLE_LIMIT:
         raise ValueError(f"crossing count {k} exceeds the oracle limit {ORACLE_LIMIT}")
-    if not k:
-        return delta_power(d.component_count() - 1)
 
     pairings = _arc_pairings(d)
     seq = list(order) if order is not None else list(range(k))
@@ -154,11 +153,7 @@ def bracket_all_signs(d: BilliardDiagram) -> dict[str, LaurentPoly]:
     k = d.crossing_count
     if k > SWEEP_LIMIT:
         raise ValueError(f"crossing count {k} exceeds the sweep limit {SWEEP_LIMIT}")
-    base = delta_power(d.component_count() - 1)
-    if not k:
-        return {signs_text((None,) * d.slot_count): base}
-
-    loops = _loops_table(d)
+    loops = _loops_table(d) + d.free_loops
     max_loops = int(loops.max())
     # After p passes, column j holds the coefficient of A^(2j - 2(max L - 1) - p)
     # (delta powers have even exponents), so the next pass multiplies by A^+1

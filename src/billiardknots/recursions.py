@@ -451,27 +451,18 @@ def writhe_recursive(a: int, b: int, signs: SignSeq | str) -> int:
 
     Only defined for the knot widths (b not divisible by a).  Widening the
     table by one period keeps the old crossings' contributions and adds a
-    fixed sign pattern over the new crossings; the smallest width in each
-    residue class is counted directly.
+    fixed sign pattern over the new crossings; the smallest width in b's
+    residue class is counted directly, then one pattern is added per period.
     """
-    if a == 3:
-        if b % 3 == 0:
-            raise ValueError("writhe recursion needs b not divisible by 3")
-        signs = check_signs(signs, b - 1, frozenset())
-        if b <= 3:
-            return diagram(3, b).assign_signs(signs).writhe()
-        base = b - 3
-        head = writhe_recursive(3, base, signs[: base - 1])
-        pat = _PAT3[base % 3]
-        return head + sum(p * s for p, s in zip(pat, signs[base - 1 :]))
-    if a == 5:
-        if b % 5 == 0:
-            raise ValueError("writhe recursion needs b not divisible by 5")
-        signs = check_signs(signs, 2 * (b - 1), frozenset())
-        if b <= 5:
-            return diagram(5, b).assign_signs(signs).writhe()
-        base = b - 5
-        head = writhe_recursive(5, base, signs[: 2 * (base - 1)])
-        pat = _PAT5[(base % 5, base % 2)]
-        return head + sum(p * s for p, s in zip(pat, signs[2 * (base - 1) :]))
-    raise ValueError("writhe recursion supports heights 3 and 5 only")
+    if a not in (3, 5):
+        raise ValueError("writhe recursion supports heights 3 and 5 only")
+    if b % a == 0:
+        raise ValueError(f"writhe recursion needs b not divisible by {a}")
+    half = (a - 1) // 2  # slots per column
+    signs = check_signs(signs, half * (b - 1), frozenset())
+    base = (b - 1) % a + 1
+    writhe = diagram(a, base).assign_signs(signs[: half * (base - 1)]).writhe()
+    for m in range(base, b, a):
+        pat = _PAT3[m % 3] if a == 3 else _PAT5[m % 5, m % 2]
+        writhe += sum(p * s for p, s in zip(pat, signs[half * (m - 1) : half * (m - 1 + a)]))
+    return writhe

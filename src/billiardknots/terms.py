@@ -32,9 +32,9 @@ in the closed-form tables: the single factors (A^±, A^∓, f2^±, f2^∓, _) an
 δ.  Every block, named or indexed, is spelled over these units in
 ``recursions``, which resolves each spelling to a flat term sum; evaluation
 never recurses.  ``add_all`` sums any number of term sums in one pass and
-``product`` multiplies them out; both take the width and skip layout from
-their parts, so only the public ``TermSum`` constructor checks terms one by
-one.
+``product`` multiplies them out; both take the width from their parts, so
+only the public ``TermSum`` constructor checks terms one by one.  A sum's
+skip layout is read off its codes.
 
 Evaluation has one kernel, ``CompiledTermSum``: it packs a sum once into
 big ints with one fixed-width field per term, so a sign vector costs one
@@ -70,6 +70,9 @@ class Factor(IntEnum):
 
 _FACTOR_CODES = bytes(Factor)
 
+#: ``bytes.translate`` table giving a term's skip mask: 1 at ``SKIP``, else 0.
+_SKIP_MASK = bytes(code == Factor.SKIP for code in range(256))
+
 _FACTOR_TEXT = dict(zip(Factor, ("A^±", "A^∓", "f2^±", "f2^∓", "_")))
 
 
@@ -80,10 +83,6 @@ def parse_signs(text: str) -> SignSeq:
         return tuple(table[ch] for ch in text)
     except KeyError as exc:
         raise ValueError(f"bad sign character {exc.args[0]!r} in {text!r}") from None
-
-
-def signs_text(signs: SignSeq) -> str:
-    return "".join("+" if s == 1 else "-" if s == -1 else "_" for s in signs)
 
 
 def check_signs(signs: SignSeq | str, width: int, skips: frozenset[int]) -> SignSeq:
@@ -113,7 +112,7 @@ class TermSum:
     so printed forms diff cleanly against the closed-form tables.
     """
 
-    __slots__ = ("terms", "width", "skip_positions")
+    __slots__ = ("terms", "width")
 
     def __init__(self, terms: Iterable[tuple[int, Iterable[Factor]]], width: int | None = None):
         self.terms: tuple[tuple[int, bytes], ...] = tuple((d, bytes(f)) for d, f in terms)
@@ -122,7 +121,7 @@ class TermSum:
                 raise ValueError("width required for an empty term sum")
             width = len(self.terms[0][1])
         self.width = width
-        skips: set[int] | None = None
+        mask = None
         for delta, codes in self.terms:
             if not isinstance(delta, int) or delta < 0:
                 raise ValueError(f"delta exponent must be an int >= 0, got {delta!r}")
@@ -130,24 +129,24 @@ class TermSum:
                 raise ValueError(f"inconsistent widths: {len(codes)} vs {width}")
             if codes.translate(None, _FACTOR_CODES):
                 raise ValueError("factor codes must be Factor values")
-            positions = {i for i, f in enumerate(codes) if f == Factor.SKIP}
-            if skips is None:
-                skips = positions
-            elif skips != positions:
+            if mask is None:
+                mask = codes.translate(_SKIP_MASK)
+            elif codes.translate(_SKIP_MASK) != mask:
                 raise ValueError("terms disagree on skipped slot positions")
-        self.skip_positions = frozenset(skips or ())
 
     @classmethod
-    def _trusted(
-        cls, terms: tuple[tuple[int, bytes], ...], width: int, skips: frozenset[int]
-    ) -> "TermSum":
-        """A term sum whose terms are already known valid, with the width and
-        skip layout they share; nothing is re-checked."""
+    def _trusted(cls, terms: tuple[tuple[int, bytes], ...], width: int) -> "TermSum":
+        """A term sum of terms already known valid; nothing is re-checked."""
         ts = cls.__new__(cls)
         ts.terms = terms
         ts.width = width
-        ts.skip_positions = skips
         return ts
+
+    @property
+    def skip_positions(self) -> frozenset[int]:
+        """The slots every term skips, read off the first term's codes."""
+        first = self.terms[0][1] if self.terms else b""
+        return frozenset(i for i, f in enumerate(first) if f == Factor.SKIP)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -171,35 +170,32 @@ def add_all(parts: Iterable[TermSum]) -> TermSum:
     per part that the widths and skip layouts agree; the terms themselves
     are not re-walked."""
     terms: list[tuple[int, bytes]] = []
-    width = skips = None
+    width = mask = None
     for part in parts:
         if width is None:
             width = part.width
         elif part.width != width:
             raise ValueError("cannot add term sums of different widths")
         if part.terms:
-            if skips is None:
-                skips = part.skip_positions
-            elif part.skip_positions != skips:
+            if mask is None:
+                mask = part.terms[0][1].translate(_SKIP_MASK)
+            elif part.terms[0][1].translate(_SKIP_MASK) != mask:
                 raise ValueError("cannot add term sums with different skip layouts")
         terms.extend(part.terms)
     if width is None:
         raise ValueError("width required for an empty term sum")
-    return TermSum._trusted(tuple(terms), width, skips or frozenset())
+    return TermSum._trusted(tuple(terms), width)
 
 
 def product(*sums: TermSum) -> TermSum:
-    """Juxtaposition of any number of term sums.  The width and skip layout
-    come from the parts: each part's skips, shifted by its slot offset."""
+    """Juxtaposition of any number of term sums; the width is the sum of the
+    parts' widths."""
     terms = EMPTY.terms
     width = 0
-    skips: set[int] = set()
     for s in sums:
         terms = [(pd + qd, pc + qc) for pd, pc in terms for qd, qc in s.terms]
-        skips.update(width + i for i in s.skip_positions)
         width += s.width
-    # An empty sum has no terms to carry skips, as in the TermSum constructor.
-    return TermSum._trusted(tuple(terms), width, frozenset(skips) if terms else frozenset())
+    return TermSum._trusted(tuple(terms), width)
 
 
 #: Width-0 multiplicative unit.

@@ -154,7 +154,10 @@ def test_table_spec_is_an_immutable_value():
     for args, message in [((6, 4), "unsupported table height a=6"),
                           ((5, 0), "table width b must be >= 1"),
                           ((5, 4, 3), "bumpers must be 0, 1 or 2"),
-                          ((4, 5, 1), "only supported at a=5")]:
+                          ((4, 5, 1), "only supported at a=5"),
+                          ((5, 7, True), "bumpers must be an int, got True"),
+                          ((5.0, 7), "a must be an int, got 5.0"),
+                          ((5, 7.0), "b must be an int, got 7.0")]:
         with pytest.raises(ValueError, match=message):
             TableSpec(*args)
 

@@ -108,7 +108,9 @@ def test_crossing_limit():
 def test_all_signs_matches_bruteforce():
     cases = [(3, 5, 0), (5, 3, 0), (5, 4, 2), (5, 4, 1), (3, 6, 0),
              (3, 8, 0), (3, 9, 0), (3, 10, 0), (4, 5, 0), (5, 5, 0),
-             (5, 5, 1), (5, 5, 2), (5, 6, 2)]
+             (5, 5, 1), (5, 5, 2), (5, 6, 2),
+             # No crossing: the sweep's one entry is the free loops' state.
+             (3, 1, 0), (4, 1, 0), (5, 1, 0), (5, 1, 1), (5, 1, 2)]
     for a, b, bump in cases:
         d = diagram(a, b, bumpers=bump)
         table = bracket_all_signs(d)

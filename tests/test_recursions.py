@@ -447,6 +447,10 @@ def test_writhe_recursive_matches_direct_height3():
         d = diagram(3, b)
         for combo in itertools.product((1, -1), repeat=b - 1):
             assert writhe_recursive(3, b, combo) == d.assign_signs(combo).writhe(), (b, combo)
+    # A width far past the interpreter's recursion limit.
+    rng = random.Random(3001)
+    combo = tuple(rng.choice((1, -1)) for _ in range(3000))
+    assert writhe_recursive(3, 3001, combo) == diagram(3, 3001).assign_signs(combo).writhe()
 
 
 def test_writhe_recursive_matches_direct_height5():
@@ -459,6 +463,8 @@ def test_writhe_recursive_matches_direct_height5():
         for _ in range(120):
             combo = tuple(rng.choice((1, -1)) for _ in range(k))
             assert writhe_recursive(5, b, combo) == d.assign_signs(combo).writhe(), (b, combo)
+    combo = tuple(rng.choice((1, -1)) for _ in range(2 * 5001))
+    assert writhe_recursive(5, 5002, combo) == diagram(5, 5002).assign_signs(combo).writhe()
 
 
 def test_writhe_recursive_rejects_link_widths():

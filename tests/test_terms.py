@@ -354,8 +354,9 @@ def test_packing_bound(monkeypatch):
 
 
 def test_built_sums_match_validated_construction():
-    # product and add_all derive width and skips from their parts; the public
-    # constructor recomputes them from the terms.
+    # product and add_all derive the width from their parts without checking
+    # terms; the public constructor checks every term.  Both read the skip
+    # layout off the codes.
     built = [fam(n) for fam in FAMILIES.values() for n in range(1, 10)]
     for ts in built + [expand_block(name) for name in [*UNITS, *BLOCK_SPELLINGS]]:
         checked = TermSum(ts.terms, ts.width)
