@@ -12,23 +12,19 @@ smoothings swap.  Which strand is on top is set by the crossing's sign
 ('+' puts the NE-sloped strand over), so the pairing applied at crossing c
 in state sigma depends only on sign(c) xor sigma(c).  ``bracket_all_signs``
 exploits that: with pi = sigma xor eps, the bracket of sign vector eps is
-sum_pi delta^(L(pi) - 1) * prod_c A^(+1 if pi_c == eps_c else -1), i.e. the
-2^k loop-count table L pushed through one 2x2 kernel [[A, A^-1], [A^-1, A]]
-per crossing - a butterfly over the sign group, like a Walsh-Hadamard
-transform.  L itself is built by the same per-crossing doubling, as whole
-arrays of arc labels rather than one union-find per state.
-``bracket_bruteforce`` stays deliberately plain - a walk of the smoothing
-tree over one union-find, no numpy - since it is the oracle the fast paths
-are judged against.
+sum_pi delta^(L(pi) - 1) * prod_c A^(+1 if pi_c == eps_c else -1), run as a
+transfer matrix over frontier matchings (Kauffman's state model, 1987): one
+pass over the crossings finds the states, a second carries per state one
+int with a row of packed coefficients per sign prefix.  ``bracket_bruteforce``
+stays deliberately plain - a walk of the smoothing tree over one union-find -
+since it is the oracle the fast paths are judged against.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product as iproduct
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import product as iproduct
+from struct import Struct
+from typing import Iterator, Optional, Sequence
 
 from .billiard import NE, NW, SE, SW, BilliardDiagram, SignedDiagram
 from .laurent import LaurentPoly, delta_power
@@ -43,8 +39,8 @@ _PAIRING_H = ((NE, NW), (SW, SE))
 #: 2^k leaves.
 ORACLE_LIMIT = 24
 
-#: Crossing-count limit of ``bracket_all_signs``: the sweep holds a 2^k loop
-#: table and serves 2^k sign assignments from it.
+#: Crossing-count limit of ``bracket_all_signs``: per frontier state, it holds
+#: one int of 2^k rows, one per sign assignment.
 SWEEP_LIMIT = 14
 
 
@@ -114,81 +110,85 @@ def sign_sequences(d: BilliardDiagram) -> Iterator[str]:
     return map("".join, iproduct(*choices))
 
 
-def _loops_table(d: BilliardDiagram) -> np.ndarray:
-    """Loop count for every pairing vector pi over the crossings.
-
-    One doubling pass per crossing: each row of ``lab`` labels every arc with
-    a representative arc of its loop so far (the representative labels
-    itself).  Crossing c applies each of its two pairings to every row, one
-    relabelling per merged pair, and stacks the halves, so bit c of the row
-    index picks crossing c's pairing.
+def _moves(d: BilliardDiagram) -> tuple[list[dict], int]:
+    """Pass 1 of the sweep, crossing k-1 down to 0: per crossing, each frontier
+    state's (successor, loops closed) under the V and the H pairing of
+    ``_arc_pairings``; and the most loops any pairing vector closes.  A state
+    matches up the frontier arcs (those with exactly one end contracted) that
+    the contracted strands join, as each frontier arc's partner in arc order.
     """
-    import numpy as np  # imported where used: the closed forms never need it
-
-    arcs = np.arange(d.arc_count)
-    lab = arcs[None, :]
-    for pairing in _arc_pairings(d):
-        halves = []
-        for pairs in pairing:
-            half = lab
-            for x, y in pairs:
-                half = np.where(half == half[:, y, None], half[:, x, None], half)
-            halves.append(half)
-        lab = np.concatenate(halves)
-    return (lab == arcs).sum(axis=1)
+    steps, front = [], ()
+    most = {(): 0}  # per state, the most loops any prefix reaching it closed
+    for pairings in reversed(_arc_pairings(d)):
+        ends = [x for pair in pairings[0] for x in pair]
+        after = sorted(set(front) ^ {x for x in ends if ends.count(x) == 1})
+        moves, reach = {}, {}
+        for st, m in most.items():
+            moves[st] = succ = []
+            for pairs in pairings:
+                mate, loops = dict(zip(front, st)), 0
+                for x, y in pairs:
+                    # An arc not yet in the matching is its own other end.
+                    a, b = mate.pop(x, x), mate.pop(y, y)
+                    if a == y:
+                        loops += 1
+                    else:
+                        mate[a], mate[b] = b, a
+                t = tuple(map(mate.__getitem__, after))
+                if reach.get(t, -1) < m + loops:
+                    reach[t] = m + loops
+                succ.append((t, loops))
+        steps.append(moves)
+        front, most = after, reach
+    return steps, most[()]
 
 
 def bracket_all_signs(d: BilliardDiagram) -> dict[str, LaurentPoly]:
-    """Brute-force bracket for every sign assignment of the diagram.
-
-    k doubling passes over arc-label arrays fill the loop table
-    (``_loops_table``); k butterfly passes over it (one per crossing) then
-    give every sign assignment's bracket at once, keyed and ordered as
-    ``sign_sequences``, with one shared polynomial per distinct bracket.
-    The tests cross-check this against ``bracket_bruteforce`` runs and the
-    loop table against a plain union-find.
+    """Brute-force bracket for every sign assignment of the diagram, keyed and
+    ordered as ``sign_sequences``, one shared polynomial per distinct bracket.
+    Pass 2 of the sweep carries each frontier state of ``_moves`` as one int
+    of packed rows, one per sign prefix.
     """
-    import numpy as np  # imported where used: the closed forms never need it
-
     k = d.crossing_count
     if k > SWEEP_LIMIT:
         raise ValueError(f"crossing count {k} exceeds the sweep limit {SWEEP_LIMIT}")
-    loops = _loops_table(d) + d.free_loops
-    max_loops = int(loops.max())
-    # After p passes, column j holds the coefficient of A^(2j - 2(max L - 1) - p)
-    # (delta powers have even exponents), so the next pass multiplies by A^+1
-    # with a one-column shift and by A^-1 with none; after all k passes
-    # column j is A^(2j - off).  int64 is exact: every entry is at most
-    # 2^k * 2^(max L - 1) = 2^(k + max L - 1) in magnitude.
-    off = k + 2 * (max_loops - 1)
-    seed = np.zeros((max_loops, off + 1), dtype=np.int64)
-    for n in range(max_loops):
-        for e, c in delta_power(n).terms.items():
-            seed[n, e // 2 + max_loops - 1] = c
-    coef = seed[loops - 1]
-    for c in range(k):
-        # Symmetric kernel: each half is the other plus itself shifted.
-        pair = coef.reshape(-1, 2, 1 << c, off + 1)
-        out = pair[:, ::-1].copy()
-        out[..., 1:] += pair[..., :-1]
-        coef = out.reshape(coef.shape)
-    # Row index has crossing c at bit c; sign_sequences varies crossing 0
-    # slowest, so reverse the bit axes.
-    coef = coef.reshape((2,) * k + (off + 1,))
-    coef = coef.transpose(tuple(reversed(range(k))) + (k,)).reshape(1 << k, off + 1)
-    # Few rows are distinct: key each row by its bytes and build one
-    # polynomial per distinct row, shared by every sign vector that has it.
-    keys = coef.view(np.dtype((np.void, coef.strides[0]))).ravel().tolist()
-    distinct = dict.fromkeys(keys)
-    rows = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, off + 1)
-    # Strip zeros in numpy; nonzero() walks row-major, so each row's
-    # exponents come out ascending.
-    r, cols = np.nonzero(rows)
-    exps = iter((2 * cols - off).tolist())
-    vals = iter(rows[r, cols].tolist())
-    counts = np.count_nonzero(rows, axis=1).tolist()
-    poly = {
-        key: LaurentPoly._raw(dict(zip(islice(exps, n), islice(vals, n))))
-        for key, n in zip(distinct, counts)
-    }
+    steps, most = _moves(d)
+    # A row is A^-k times a polynomial in A^2, field j holding the
+    # coefficient of A^(2(j - lo) - k).  An A-smoothing shifts a row up one
+    # field and each delta spreads it one field each way; no row carries
+    # more than lo deltas, so none runs off its n fields.  Each field sums
+    # at most 2^k states' coefficients of a delta power <= lo, so
+    # |coefficient| <= 2^(k + lo) < 2^(bits - 1): the fields never overlap.
+    lo = d.free_loops + most - 1
+    n = 2 * lo + k + 1
+    bits = max(8, 1 << (k + lo + 1).bit_length())
+
+    def spread(row: int, deltas: int) -> int:
+        for _ in range(deltas):
+            row = -(row >> bits) - (row << bits)
+        return row
+
+    # The last join closes the last loop and carries no delta, so nothing
+    # divides by delta; with no join, the seed is the free loops' delta^(L-1).
+    rows = {(): spread(1 << (bits * lo), d.free_loops - (not k))}
+    for i, moves in enumerate(steps):
+        shift, last = (n * bits) << i, i == k - 1
+        # Per successor, the rows entering it under V and under H.  The sign
+        # doubles the rows, '-' on top; V's '+' half and H's '-' half take A.
+        acc: dict[tuple, list[int]] = {}
+        for st, ((tv, nv), (th, nh)) in moves.items():
+            row = rows[st]
+            acc.setdefault(tv, [0, 0])[0] += spread(row, nv - last)
+            acc.setdefault(th, [0, 0])[1] += spread(row, nh - last)
+        rows = {t: ((v + (h << shift)) << bits) + h + (v << shift) for t, (v, h) in acc.items()}
+    # Biasing every field by 2^(bits - 1) makes it a plain digit; flipping
+    # the digit's top bit then leaves the field in two's complement.
+    size = n * bits // 8
+    bias = int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * (n << k), "little")
+    blob = ((rows[()] + bias) ^ bias).to_bytes(size << k, "little")
+    keys = [blob[i : i + size] for i in range(0, len(blob), size)]
+    fields = Struct(f"<{n}{'bhiq'[bits.bit_length() - 4]}").unpack
+    exps = range(-2 * lo - k, n, 2)
+    poly = {key: LaurentPoly._raw({e: c for e, c in zip(exps, fields(key)) if c})
+            for key in dict.fromkeys(keys)}
     return dict(zip(sign_sequences(d), map(poly.__getitem__, keys)))

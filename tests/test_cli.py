@@ -260,14 +260,16 @@ def test_oversized_expansion_exit_2(capsys):
 
 
 def test_closed_form_routes_do_not_load_numpy():
+    # No route loads numpy: with it blocked, any import of it would raise.
     # The import also loads none of dataclasses, inspect and json; a module
     # the interpreter's site had already loaded does not count.
     script = """
 import sys
+sys.modules["numpy"] = None
 LEAN = ("dataclasses", "inspect", "json")
 preloaded = set(sys.modules)
 def numpy_loaded(step):
-    print("@", step, "numpy" in sys.modules)
+    print("@", step, sys.modules["numpy"] is not None)
 import billiardknots
 numpy_loaded("import")
 print("% import loaded", [m for m in LEAN if m in sys.modules and m not in preloaded])
@@ -285,6 +287,8 @@ billiardknots.bracket_bruteforce(sd)
 numpy_loaded("bracket_bruteforce")
 billiardknots.bracket_all_signs(sd.diagram)
 numpy_loaded("bracket_all_signs")
+assert cli.main(["verify", "--family", "f", "--max-n", "8"]) == 0
+numpy_loaded("verify")
 """
     src = str(Path(billiardknots.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -295,7 +299,8 @@ numpy_loaded("bracket_all_signs")
     loaded = [line[2:] for line in lines if line.startswith("@ ")]
     assert loaded == ["import False", "bracket False", "jones False",
                       "CompiledTermSum False", "bench False",
-                      "bracket_bruteforce False", "bracket_all_signs True"]
+                      "bracket_bruteforce False", "bracket_all_signs False",
+                      "verify False"]
 
 
 def test_non_planar_table_exit_2(capsys):

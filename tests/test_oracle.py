@@ -8,7 +8,7 @@ from billiardknots.oracle import (
     ORACLE_LIMIT,
     SWEEP_LIMIT,
     _arc_pairings,
-    _loops_table,
+    _moves,
     bracket_all_signs,
     bracket_bruteforce,
     sign_sequences,
@@ -108,6 +108,8 @@ def test_crossing_limit():
 def test_all_signs_matches_bruteforce():
     cases = [(3, 5, 0), (5, 3, 0), (5, 4, 2), (5, 4, 1), (3, 6, 0),
              (3, 8, 0), (3, 9, 0), (3, 10, 0), (4, 5, 0), (5, 5, 0),
+             # k = 10: the first table whose sweep needs 32-bit fields.
+             (3, 11, 0),
              (5, 5, 1), (5, 5, 2), (5, 6, 2),
              # No crossing: the sweep's one entry is the free loops' state.
              (3, 1, 0), (4, 1, 0), (5, 1, 0), (5, 1, 1), (5, 1, 2)]
@@ -120,12 +122,16 @@ def test_all_signs_matches_bruteforce():
 
 
 def test_all_signs_sampled_at_sweep_limit():
-    d = diagram(5, 8)
-    assert d.crossing_count == 14
-    table = bracket_all_signs(d)
+    # Up to the sweep limit, in 32-bit fields (k >= 10).
+    assert diagram(5, 8).crossing_count == 14 == SWEEP_LIMIT
     rng = random.Random(14)
-    for s in rng.sample(list(table), 20):
-        assert table[s] == bracket_bruteforce(d.assign_signs(s))
+    for a, b, bump in [(5, 8, 0), (5, 6, 0), (5, 6, 1), (5, 7, 2)]:
+        d = diagram(a, b, bumpers=bump)
+        assert d.crossing_count >= 10
+        table = bracket_all_signs(d)
+        assert list(table) == list(sign_sequences(d))
+        for s in rng.sample(list(table), 20):
+            assert table[s] == bracket_bruteforce(d.assign_signs(s)), (a, b, bump, s)
 
 
 def test_all_signs_entries_do_not_alias():
@@ -185,7 +191,8 @@ def _union_find_loops(pairs, n_arcs):
 
 
 def test_loops_table_matches_union_find():
-    # Every constructible table with at most 12 crossings, links included.
+    # Every constructible table with at most 12 crossings, links included:
+    # the loops closed along each pairing vector's moves in the sweep's pass 1.
     tables = [(a, b, 0) for a in (3, 4, 5) for b in range(1, 15)]
     tables += [(5, n, bump) for bump in (1, 2) for n in range(1, 8)]
     checked = 0
@@ -199,13 +206,24 @@ def test_loops_table_matches_union_find():
         if k > 12:
             continue
         pairings = _arc_pairings(d)
+        steps, most = _moves(d)
+        assert len(steps) == k
+        got = []
+        for pi in range(1 << k):
+            state, total = (), 0
+            for c, moves in zip(reversed(range(k)), steps):
+                state, loops = moves[state][(pi >> c) & 1]
+                total += loops
+            assert state == ()
+            got.append(total)
         want = [
             _union_find_loops(
                 [p for c in range(k) for p in pairings[c][(pi >> c) & 1]], d.arc_count
             )
             for pi in range(1 << k)
         ]
-        assert _loops_table(d).tolist() == want, (a, b, bump)
+        assert got == want, (a, b, bump)
+        assert most == max(want), (a, b, bump)
         checked += 1
     assert checked == 42
 
