@@ -26,10 +26,11 @@ Closures add no crossings.  Open strands of rectangular and two-bumper
 tables each close onto themselves (the long-knot closure at infinity).
 One-bumper tables are 2-tangles; their four strand ends are paired by
 position: for odd b, (0,0) with (b-1,0) and (b,1) with (b,a); for even b,
-(0,0) with (b-1,a) and (b,0) with (b,a-1).  A table whose closure cannot
-avoid a crossing (T(4,b) with b = 4 mod 8: the two open strands' ends
-interleave on the boundary) fails the Euler planarity check and is rejected
-with ValueError.
+(0,0) with (b-1,a) and (b,0) with (b,a-1).  Each closure arc runs outside
+the table, so it is a chord between two pockets on the boundary, and the
+closure avoids every crossing exactly when no two chords interleave.  A table
+whose chords interleave (T(4,b) with b = 4 mod 8: the two open strands' ends
+alternate around the boundary) is rejected with ValueError.
 
 Each component is traced in one oriented walk.  Open components start at
 the lowest pocket not yet reached and chain strands through the closure,
@@ -133,7 +134,7 @@ class TableSpec:
 class Crossing:
     """One 4-valent vertex: grid position, incident arcs, and strand data."""
 
-    __slots__ = ("index", "x", "y", "arcs", "dir_plus", "dir_minus")
+    __slots__ = ("index", "x", "y", "arcs", "dir_plus", "dir_minus", "weight")
 
     def __init__(self, index: int, x: int, y: int):
         self.index = index
@@ -143,22 +144,9 @@ class Crossing:
         # Direction of the slope +1 and slope -1 passes along their components.
         self.dir_plus = (1, 1)
         self.dir_minus = (1, -1)
-
-    @property
-    def position(self) -> Vertex:
-        return (self.x, self.y)
-
-
-class Slot:
-    """A position of the full-table crossing grid; skipped when the bumper
-    removes the crossing there but later slots survive."""
-
-    __slots__ = ("x", "y", "real")
-
-    def __init__(self, x: int, y: int, real: bool):
-        self.x = x
-        self.y = y
-        self.real = real
+        # Writhe contribution at sign '+' (slope +1 pass over): the sign of
+        # dir_plus x dir_minus, set once the walk has oriented both passes.
+        self.weight = -1
 
 
 class BilliardDiagram:
@@ -167,7 +155,24 @@ class BilliardDiagram:
     def __init__(self, spec: TableSpec):
         self.spec = spec
         self._trace()
-        if not self.euler_check():
+        # Each closure arc is a chord between two pockets.  Placed
+        # counterclockwise from (0, 0) (a notch's corner sits between the
+        # bottom or top edge and the right edge), the chords nest exactly
+        # when matching their ends with a stack empties it.
+        a, b = spec.a, spec.b
+
+        def place(p: Vertex) -> int:
+            x, y = p
+            return x if y == 0 else 2 * b + a - x if y == a else b + y
+
+        ends = sorted((place(p), i) for i, chord in enumerate(self._closures) for p in chord)
+        stack: list[int] = []
+        for _, i in ends:
+            if stack and stack[-1] == i:
+                stack.pop()
+            else:
+                stack.append(i)
+        if stack:
             raise ValueError(
                 f"{spec.label()} has no planar closure: its strand ends "
                 "interleave on the boundary"
@@ -253,7 +258,7 @@ class BilliardDiagram:
         # Crossings, canonically ordered.
         cross_pos = sorted(v for v, ns in nbrs.items() if len(ns) == 4)
         self.crossings = [Crossing(i, x, y) for i, (x, y) in enumerate(cross_pos)]
-        self._index_of = {c.position: c.index for c in self.crossings}
+        self._index_of = {pos: i for i, pos in enumerate(cross_pos)}
 
         # Arcs numbered along the oriented components: pass j's out-port
         # starts arc offset + j, which ends at pass j+1's in-port.
@@ -272,24 +277,22 @@ class BilliardDiagram:
                 c.arcs[_PORT_OF_DIR[d]] = offset + j
             offset += m
         self.arc_count = offset
-        if any(arc < 0 for c in self.crossings for arc in c.arcs):
-            raise AssertionError("unwired crossing port")
+        for c in self.crossings:
+            if -1 in c.arcs:
+                raise AssertionError("unwired crossing port")
+            (px, py), (mx, my) = c.dir_plus, c.dir_minus
+            c.weight = 1 if px * my - py * mx > 0 else -1
 
         # Slot grid of the full rectangle; interior missing crossings become
         # skips, trailing ones are dropped.
-        grid = sorted(
-            (x, y)
-            for x in range(1, b)
-            for y in range(1, a)
-            if (x + y) % 2 == 0
-        )
-        index_of = self._index_of
-        slots = [Slot(x, y, (x, y) in index_of) for x, y in grid]
-        while slots and not slots[-1].real:
+        slots = [(x, y) for x in range(1, b) for y in range(1, a) if (x + y) % 2 == 0]
+        while slots and slots[-1] not in self._index_of:
             slots.pop()
         self.slots = slots
-        self.skip_positions = frozenset(i for i, s in enumerate(slots) if not s.real)
-        if sum(s.real for s in slots) != len(self.crossings):
+        self.skip_positions = frozenset(
+            i for i, pos in enumerate(slots) if pos not in self._index_of
+        )
+        if len(slots) - len(self.skip_positions) != len(self.crossings):
             raise AssertionError("crossing off the slot grid")
 
     def _tangle_partners(self, pockets: list[Vertex]) -> dict[Vertex, Vertex]:
@@ -325,51 +328,6 @@ class BilliardDiagram:
     def assign_signs(self, signs: SignSeq | str) -> "SignedDiagram":
         return SignedDiagram(self, signs)
 
-    def euler_check(self) -> bool:
-        """Verify V - E + F = 1 + C for the 4-valent map (planarity witness)."""
-        if not self.crossings:
-            return True
-        arc_ends: dict[int, list[tuple[int, int]]] = {}
-        for c in self.crossings:
-            for port, arc in enumerate(c.arcs):
-                arc_ends.setdefault(arc, []).append((c.index, port))
-        half = {(arc, i) for arc in arc_ends for i in range(len(arc_ends[arc]))}
-        faces = 0
-        pending = set(half)
-        while pending:
-            start = pending.pop()
-            cur = start
-            while True:
-                arc, i = cur
-                cross, port = arc_ends[arc][i]
-                q = (port + 1) % 4
-                arc2 = self.crossings[cross].arcs[q]
-                ends = arc_ends[arc2]
-                j = 0 if ends[0] == (cross, q) else 1
-                cur = (arc2, 1 - j)
-                if cur == start:
-                    break
-                pending.discard(cur)
-            faces += 1
-        # Connected components of the crossing graph.
-        adj: dict[int, set[int]] = {c.index: set() for c in self.crossings}
-        for arc, ends in arc_ends.items():
-            (c1, _), (c2, _) = ends
-            adj[c1].add(c2)
-            adj[c2].add(c1)
-        comps = 0
-        todo = set(adj)
-        while todo:
-            comps += 1
-            stack = [todo.pop()]
-            while stack:
-                for n in adj[stack.pop()]:
-                    if n in todo:
-                        todo.remove(n)
-                        stack.append(n)
-        v, e = len(self.crossings), len(arc_ends)
-        return v - e + faces == 1 + comps
-
     def json_dump(self) -> str:
         import json  # imported where used: nothing else in the package needs it
 
@@ -381,8 +339,8 @@ class BilliardDiagram:
             "bumpers": self.spec.bumpers,
             "side": self.spec.side,
             "slots": [
-                {"index": i + 1, "x": s.x, "y": s.y, "skipped": not s.real}
-                for i, s in enumerate(self.slots)
+                {"index": i + 1, "x": x, "y": y, "skipped": i in self.skip_positions}
+                for i, (x, y) in enumerate(self.slots)
             ],
             "crossings": [
                 {
@@ -411,32 +369,20 @@ class SignedDiagram:
         # Per crossing index (not slot), the sign.
         self.crossing_signs = tuple(s for s in self.signs if s is not None)
 
-    def _over_under(self, index: int) -> tuple[Dir, Dir]:
-        """Oriented directions of the over and under passes of a crossing."""
-        c = self.diagram.crossings[index]
-        if self.crossing_signs[index] == 1:
-            return c.dir_plus, c.dir_minus
-        return c.dir_minus, c.dir_plus
-
     def crossing_sign(self, index: int) -> int:
         """Writhe contribution of crossing ``index`` under the component orientation."""
-        over, under = self._over_under(index)
-        return 1 if over[0] * under[1] - over[1] * under[0] > 0 else -1
+        return self.crossing_signs[index] * self.diagram.crossings[index].weight
 
     def writhe(self) -> int:
-        return sum(self.crossing_sign(i) for i in range(len(self.diagram.crossings)))
-
-    def is_over(self, index: int, slope: int) -> bool:
-        """Whether the strand of the given slope is the over strand."""
-        return (self.crossing_signs[index] == 1) == (slope == 1)
+        return sum(s * c.weight for s, c in zip(self.crossing_signs, self.diagram.crossings))
 
     def pd_code(self) -> str:
         """Planar-diagram code: per crossing, arcs counterclockwise from the
         incoming under-strand.  Crossing-free components appear as ``U``."""
         d = self.diagram
         body = []
-        for c in d.crossings:
-            under = self._over_under(c.index)[1]
+        for c, s in zip(d.crossings, self.crossing_signs):
+            under = c.dir_minus if s == 1 else c.dir_plus
             in_port = _PORT_OF_DIR[(-under[0], -under[1])]
             labels = (c.arcs[(in_port + k) % 4] + 1 for k in range(4))
             body.append("X[{},{},{},{}]".format(*labels))
@@ -451,7 +397,7 @@ class SignedDiagram:
             toks = []
             for pos, dirn in comp:
                 ci = d._index_of[pos]
-                over = self.is_over(ci, _slope(dirn))
+                over = (self.crossing_signs[ci] == 1) == (_slope(dirn) == 1)
                 sign = "+" if self.crossing_sign(ci) > 0 else "-"
                 toks.append(f"{'O' if over else 'U'}{ci + 1}{sign}")
             parts.append(" ".join(toks))

@@ -33,14 +33,19 @@ class LaurentPoly:
 
     The zero polynomial is the empty map.  Instances are value-like: no method
     mutates ``terms`` after construction, so they are safe to share and reuse.
+    Exponents and coefficients must be plain ints (bools refused); arithmetic
+    accepts only polynomials and ints.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        self.terms: dict[int, int] = (
-            {int(e): c for e, c in terms.items() if c} if terms else {}
-        )
+        self.terms: dict[int, int] = {}
+        for e, c in (terms or {}).items():
+            if type(e) is not int or type(c) is not int:
+                raise ValueError(f"Laurent terms must map int to int, got {e!r}: {c!r}")
+            if c:
+                self.terms[e] = c
 
     @classmethod
     def _raw(cls, terms: dict[int, int]) -> "LaurentPoly":
@@ -76,6 +81,8 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = self.monomial(0, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
             v = out.get(e, 0) + c
@@ -93,6 +100,8 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = self.monomial(0, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -100,6 +109,8 @@ class LaurentPoly:
             if not other:
                 return self.zero()
             return self._raw({e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

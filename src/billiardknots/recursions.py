@@ -31,7 +31,8 @@ it can be dumped for inspection.
 
 Writhe recursions: extending a knot table by one period (three crossings at
 height 3, ten at height 5) adds a signed pattern that depends only on the
-old width's residue and parity; bases come from direct counts.
+old width's residue and parity; the base widths' crossing weights are
+tabulated beside the patterns.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
-from .billiard import diagram
 from .terms import UNITS, SignSeq, TermSum, add_all, check_signs, product
 
 Spelling = tuple[tuple[str, ...], ...]
@@ -432,6 +432,12 @@ def render_bt(n: int) -> str:
 # Writhe recursions.
 # ---------------------------------------------------------------------------
 
+#: Writhe weights (contribution at sign '+') of the crossings of the base
+#: tables T(3, w) and T(5, w), w the smallest width in b's residue class.
+_BASE3 = {1: (), 2: (-1,)}
+_BASE5 = {1: (), 2: (-1, -1), 3: (1, -1, -1, 1), 4: (-1, 1, -1, -1, -1, 1)}
+
+#: The weights each period adds, keyed by the old width's residue (and parity).
 _PAT3 = {1: (1, -1, 1), 2: (1, 1, -1)}
 
 _PAT5 = {
@@ -451,8 +457,9 @@ def writhe_recursive(a: int, b: int, signs: SignSeq | str) -> int:
 
     Only defined for the knot widths (b not divisible by a).  Widening the
     table by one period keeps the old crossings' contributions and adds a
-    fixed sign pattern over the new crossings; the smallest width in b's
-    residue class is counted directly, then one pattern is added per period.
+    fixed weight pattern over the new crossings; the writhe is the sum of
+    sign times weight over the smallest width in b's residue class, then
+    over one pattern per period.  No diagram is traced.
     """
     if a not in (3, 5):
         raise ValueError("writhe recursion supports heights 3 and 5 only")
@@ -461,7 +468,7 @@ def writhe_recursive(a: int, b: int, signs: SignSeq | str) -> int:
     half = (a - 1) // 2  # slots per column
     signs = check_signs(signs, half * (b - 1), frozenset())
     base = (b - 1) % a + 1
-    writhe = diagram(a, base).assign_signs(signs[: half * (base - 1)]).writhe()
+    writhe = sum(w * s for w, s in zip((_BASE3 if a == 3 else _BASE5)[base], signs))
     for m in range(base, b, a):
         pat = _PAT3[m % 3] if a == 3 else _PAT5[m % 5, m % 2]
         writhe += sum(p * s for p, s in zip(pat, signs[half * (m - 1) : half * (m - 1 + a)]))

@@ -151,3 +151,20 @@ def test_jones_value_never_equals_a_bracket():
     assert LaurentPoly.one() != QuarterPoly({0: 1})
     assert repr(v) == "QuarterPoly(1)" and repr(ONE) == "LaurentPoly(1)"
     assert type(v + v) is QuarterPoly and -v == QuarterPoly({0: -1})
+
+
+@pytest.mark.parametrize("terms", [{0.5: 1}, {1: 2.5}, {1: True}, {True: 1}, {"1": 1}])
+def test_constructor_refuses_non_int_terms(terms):
+    # Z[A, A^-1] only: no truncated exponent, float or bool coefficient.
+    with pytest.raises(ValueError, match="must map int to int"):
+        LaurentPoly(terms)
+
+
+@pytest.mark.parametrize("other", [0.5, "1", None])
+def test_arithmetic_refuses_non_polynomial_operands(other):
+    p = LaurentPoly({5: -1, -3: 2})
+    for op in (lambda: p + other, lambda: other + p, lambda: p - other,
+               lambda: p * other, lambda: other * p):
+        with pytest.raises(TypeError):
+            op()
+    assert (p == other) is False

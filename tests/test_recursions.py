@@ -467,6 +467,28 @@ def test_writhe_recursive_matches_direct_height5():
     assert writhe_recursive(5, 5002, combo) == diagram(5, 5002).assign_signs(combo).writhe()
 
 
+def test_writhe_tables_are_traced_weights():
+    # Every entry of the base and period tables is the weight of the crossing
+    # of the traced T(a, b) whose sign it multiplies.
+    tables = {3: (recursions._BASE3, recursions._PAT3, lambda m: m % 3),
+              5: (recursions._BASE5, recursions._PAT5, lambda m: (m % 5, m % 2))}
+    for a, (base_table, pat_table, key) in tables.items():
+        half = (a - 1) // 2
+        bases, keys = set(), set()
+        for b in range(1, 41):
+            if b % a == 0:
+                continue
+            base = (b - 1) % a + 1
+            weights = tuple(c.weight for c in diagram(a, b).crossings)
+            assert weights[: half * (base - 1)] == base_table[base], (a, b)
+            bases.add(base)
+            for m in range(base, b, a):
+                new = weights[half * (m - 1) : half * (m - 1 + a)]
+                assert new == pat_table[key(m)], (a, b, m)
+                keys.add(key(m))
+        assert (bases, keys) == (set(base_table), set(pat_table)), a
+
+
 def test_writhe_recursive_rejects_link_widths():
     with pytest.raises(ValueError):
         writhe_recursive(3, 6, "+" * 5)
@@ -479,7 +501,7 @@ def test_writhe_recursive_rejects_link_widths():
 
 
 def test_writhe_recursive_rejects_bad_signs():
-    # Every sign is checked, not only those of the directly counted base.
+    # Every sign is checked, not only those of the base width.
     for a, b, signs in [(3, 4, (1, 0, 1)), (3, 5, (1, 2, 1, -1)),
                         (5, 7, (1,) * 11 + (0,)), (5, 7, (1,) * 11 + (None,))]:
         with pytest.raises(ValueError):
