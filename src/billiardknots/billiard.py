@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .terms import SignSeq, check_signs
+from .signseq import SignSeq, check_signs
 
 Vertex = tuple[int, int]
 Dir = tuple[int, int]

@@ -1,5 +1,9 @@
 """Command-line surface: compute, export, verify, benchmark, tabulate.
 
+Each command imports the package modules it runs inside its own body, so a
+call loads only those: ``pd`` loads the diagram layer alone, and a
+closed-form ``bracket`` or ``jones`` never loads the oracle.
+
 Exit codes: 0 success, 1 verification mismatch, 2 bad arguments or out of
 memory.
 """
@@ -10,40 +14,25 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .billiard import BilliardDiagram, SignedDiagram, TableSpec, diagram
-from .laurent import LaurentPoly, coefficient_string, jones_normalize
-from .oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_all_signs, bracket_bruteforce
-from .recursions import (
-    b_terms,
-    bt_terms,
-    bumpered_summands,
-    expand_block,
-    f_summands,
-    f_terms,
-    h_skeletons,
-    h_terms,
-    padovan,
-    render_b,
-    render_bt,
-    render_f,
-    render_h,
-)
-from .terms import CompiledTermSum, TermSum
-from .tiling import count_domino_tilings, enumerate_term_tilings, render_tilings
+if TYPE_CHECKING:
+    from .billiard import BilliardDiagram, SignedDiagram, TableSpec
+    from .laurent import LaurentPoly
+    from .terms import TermSum
 
 #: Alternating-sign families reproduced by the ``table`` subcommand; the
 #: second table's b=5 entry has no reference row and is omitted.
 TABLE1_ROWS = [(2, "U"), (4, "3_1"), (5, "4_1"), (7, "6_3"), (8, "7_7"), (10, "9_31"), (11, "10_45")]
 TABLE2_ROWS = [(2, "U"), (3, "4_1"), (4, "6_2"), (6, "10_116"), (7, "12a_0960")]
 
-#: family -> (table height, bumpers, expansion builder, renderer).
+#: family -> (table height, bumpers, expansion builder, renderer), the two
+#: functions named in ``recursions`` so that the table loads nothing.
 FAMILIES = {
-    "f": (3, 0, f_terms, render_f),
-    "h": (5, 0, h_terms, render_h),
-    "b": (5, 2, b_terms, render_b),
-    "bt": (5, 1, bt_terms, render_bt),
+    "f": (3, 0, "f_terms", "render_f"),
+    "h": (5, 0, "h_terms", "render_h"),
+    "b": (5, 2, "b_terms", "render_b"),
+    "bt": (5, 1, "bt_terms", "render_bt"),
 }
 
 
@@ -55,7 +44,17 @@ FAMILIES = {
 EXPANSION_LIMIT = 256
 
 
+def _family(family: str) -> tuple[int, int, Callable[[int], TermSum], Callable[[int], str]]:
+    """``FAMILIES[family]`` with its builder and renderer looked up in ``recursions``."""
+    from . import recursions
+
+    a, bumpers, terms, render = FAMILIES[family]
+    return a, bumpers, getattr(recursions, terms), getattr(recursions, render)
+
+
 def _check_expansion_size(family: str, n: int) -> None:
+    from .recursions import padovan
+
     # Each count passes the limit long before n does, so clamping n keeps
     # the count itself cheap to compute for any n.
     m = min(n, EXPANSION_LIMIT)
@@ -72,10 +71,13 @@ def _check_expansion_size(family: str, n: int) -> None:
 
 def _closed_form(spec: TableSpec) -> Callable[[], TermSum] | None:
     """The builder of the table's closed-form expansion; None if it has none."""
-    for a, bumpers, terms, _ in FAMILIES.values():
+    for family, (a, bumpers, _, _) in FAMILIES.items():
         if (spec.a, spec.bumpers) == (a, bumpers):
-            return lambda: terms(spec.b)
+            build = _family(family)[2]
+            return lambda: build(spec.b)
     if (spec.a, spec.b) == (4, 2):
+        from .recursions import expand_block
+
         return lambda: expand_block("g2")
     return None
 
@@ -86,6 +88,8 @@ def _diagram_within(spec: TableSpec, limit: int, what: str) -> BilliardDiagram:
     Every table has at least b - 1 crossings, so a wider one is refused
     before it is traced.
     """
+    from .billiard import BilliardDiagram
+
     d = BilliardDiagram(spec) if spec.b - 1 <= limit else None
     if d is None or d.crossing_count > limit:
         k = d.crossing_count if d else f"at least {spec.b - 1}"
@@ -108,6 +112,8 @@ def _bracket_query(args, method: str | None) -> tuple[SignedDiagram, LaurentPoly
     shorter sign string is refused before tracing; the oracle route refuses a
     table past ``ORACLE_LIMIT`` crossings, and the signs are assigned before
     any closed form is built."""
+    from .billiard import BilliardDiagram, TableSpec
+
     spec = TableSpec(args.a, args.b, args.bumpers)
     if len(args.signs) < spec.b - 1:
         raise ValueError(f"{len(args.signs)} signs for {spec.label()}, which has "
@@ -115,9 +121,13 @@ def _bracket_query(args, method: str | None) -> tuple[SignedDiagram, LaurentPoly
     build = None if method == "oracle" else _closed_form(spec)
     if build is None and method == "recursion":
         raise ValueError("no closed-form expansion for this table; use --method oracle")
-    d = BilliardDiagram(spec) if build else _diagram_within(spec, ORACLE_LIMIT, "oracle")
-    sd = d.assign_signs(args.signs)
-    return sd, bracket_bruteforce(sd) if build is None else build().evaluate(args.signs)
+    if build is not None:
+        sd = BilliardDiagram(spec).assign_signs(args.signs)
+        return sd, build().evaluate(args.signs)
+    from .oracle import ORACLE_LIMIT, bracket_bruteforce
+
+    sd = _diagram_within(spec, ORACLE_LIMIT, "oracle").assign_signs(args.signs)
+    return sd, bracket_bruteforce(sd)
 
 
 def cmd_bracket(args) -> int:
@@ -132,6 +142,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_jones(args) -> int:
+    from .laurent import jones_normalize
+
     sd, bracket = _bracket_query(args, None)
     writhe = sd.writhe()
     value = jones_normalize(bracket, writhe)
@@ -145,8 +157,10 @@ def cmd_jones(args) -> int:
 
 
 def cmd_terms(args) -> int:
+    from .recursions import bumpered_summands, f_summands, h_skeletons
+
     family, n = args.family, args.n
-    _, bumpers, terms, render = FAMILIES[family]
+    _, bumpers, terms, render = _family(family)
     _check_expansion_size(family, n)
     ts = terms(n)
     rendered = render(n)
@@ -171,6 +185,8 @@ def cmd_terms(args) -> int:
 
 
 def cmd_pd(args) -> int:
+    from .billiard import diagram
+
     d = diagram(args.a, args.b, bumpers=args.bumpers)
     spec = d.spec
     signs = args.signs
@@ -190,8 +206,12 @@ def cmd_pd(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .billiard import TableSpec, diagram
+    from .oracle import SWEEP_LIMIT, bracket_all_signs
+    from .terms import CompiledTermSum
+
     family = args.family
-    a, bumpers, terms, _ = FAMILIES[family]
+    a, bumpers, terms, _ = _family(family)
     _diagram_within(TableSpec(a, args.max_n, bumpers), SWEEP_LIMIT, "sweep")
     mismatches = []
     checked = 0
@@ -219,6 +239,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .laurent import coefficient_string
+    from .recursions import f_terms, h_terms
+
     table, pattern, build = (
         (TABLE1_ROWS, "+-", f_terms) if args.which == 1 else (TABLE2_ROWS, "++--", h_terms)
     )
@@ -242,6 +265,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .billiard import TableSpec
+    from .oracle import ORACLE_LIMIT, bracket_bruteforce
+    from .recursions import h_skeletons
+    from .terms import CompiledTermSum
+
     spec = TableSpec(args.a, args.b, args.bumpers)
     d = _diagram_within(spec, ORACLE_LIMIT, "oracle")
     k = d.crossing_count
@@ -299,6 +327,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_tilings(args) -> int:
+    from .recursions import padovan
+    from .tiling import count_domino_tilings, enumerate_term_tilings, render_tilings
+
     b = args.b
     _check_expansion_size("f", b)
     tilings = enumerate_term_tilings(b)

@@ -10,6 +10,7 @@ The two types never compare equal.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
@@ -149,16 +150,20 @@ class LaurentPoly:
 #: delta = -A^2 - A^-2, the value of a disjoint unknot under stabilization.
 DELTA = LaurentPoly({2: -1, -2: -1})
 
-_DELTA_POWERS = [LaurentPoly.one(), DELTA]
 
-
+@lru_cache(maxsize=None)
 def delta_power(k: int) -> LaurentPoly:
-    """(-A^2 - A^-2)^k, exact; cached across calls."""
+    """(-A^2 - A^-2)^k, exact and memoised.  An odd power is the one below it
+    times δ and an even one the square of its half, so the recursion stays
+    within 2·log2(k) calls."""
     if k < 0:
         raise ValueError("delta_power needs k >= 0")
-    while len(_DELTA_POWERS) <= k:
-        _DELTA_POWERS.append(_DELTA_POWERS[-1] * DELTA)
-    return _DELTA_POWERS[k]
+    if k < 2:
+        return DELTA if k else LaurentPoly.one()
+    if k & 1:
+        return delta_power(k - 1) * DELTA
+    half = delta_power(k >> 1)
+    return half * half
 
 
 class QuarterPoly(LaurentPoly):

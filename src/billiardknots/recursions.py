@@ -42,7 +42,8 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
-from .terms import UNITS, SignSeq, TermSum, add_all, check_signs, product
+from .signseq import SignSeq, check_signs
+from .terms import UNITS, TermSum, add_all, product
 
 Spelling = tuple[tuple[str, ...], ...]
 

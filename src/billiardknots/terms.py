@@ -39,9 +39,9 @@ skip layout is read off its codes.
 Evaluation has one kernel, ``CompiledTermSum``: it packs a sum once into
 big ints with one fixed-width field per term, so a sign vector costs one
 big-int addition per slot at sign -1 and one ``Counter`` over the fields;
-``TermSum.evaluate`` packs afresh on each call.  ``check_signs`` is the one
-check of a sign sequence against a slot grid; it admits only +1, -1 and
-None, which the packed columns rely on.
+``TermSum.evaluate`` packs afresh on each call.  Sign sequences are checked
+by ``signseq.check_signs``, which admits only +1, -1 and None, the values
+the packed columns rely on.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ from enum import IntEnum
 from typing import Iterable
 
 from .laurent import LaurentPoly, delta_power
-
-Sign = int  # +1, -1, or None for a skipped slot
-SignSeq = tuple  # tuple of Sign
+from .signseq import SignSeq, check_signs
 
 
 class Factor(IntEnum):
@@ -74,30 +72,6 @@ _FACTOR_CODES = bytes(Factor)
 _SKIP_MASK = bytes(code == Factor.SKIP for code in range(256))
 
 _FACTOR_TEXT = dict(zip(Factor, ("A^±", "A^∓", "f2^±", "f2^∓", "_")))
-
-
-def parse_signs(text: str) -> SignSeq:
-    """Parse a sign string over '+', '-', '_' into (+1, -1, None) entries."""
-    table = {"+": 1, "-": -1, "_": None}
-    try:
-        return tuple(table[ch] for ch in text)
-    except KeyError as exc:
-        raise ValueError(f"bad sign character {exc.args[0]!r} in {text!r}") from None
-
-
-def check_signs(signs: SignSeq | str, width: int, skips: frozenset[int]) -> SignSeq:
-    """Parse ``signs`` if it is text, then check it against a slot grid of
-    ``width`` slots whose skipped positions are exactly ``skips``."""
-    if isinstance(signs, str):
-        signs = parse_signs(signs)
-    if len(signs) != width:
-        raise ValueError(f"sign sequence length {len(signs)} != slot width {width}")
-    for i, s in enumerate(signs):
-        if s is not None and s != 1 and s != -1:
-            raise ValueError(f"bad sign {s!r} at slot {i + 1}: must be +1, -1 or None")
-        if (s is None) != (i in skips):
-            raise ValueError(f"sign/skip mismatch at slot {i + 1}")
-    return tuple(None if s is None else 1 if s == 1 else -1 for s in signs)
 
 
 def _render_term(delta: int, codes: bytes) -> str:

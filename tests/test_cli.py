@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import billiardknots
-from billiardknots import cli, recursions
+from billiardknots import cli, oracle, recursions
 from billiardknots.billiard import diagram
 from billiardknots.cli import EXPANSION_LIMIT, main
 from billiardknots.laurent import LaurentPoly, jones_normalize
@@ -188,7 +188,7 @@ def test_verify_ok(capsys):
 
 def test_verify_mismatch_exit_1(capsys, monkeypatch):
     # An oracle entry off by one is reported as the one mismatch, never as a pass.
-    bracket_all_signs = cli.bracket_all_signs
+    bracket_all_signs = oracle.bracket_all_signs
 
     def off_by_one(d):
         table = bracket_all_signs(d)
@@ -197,7 +197,7 @@ def test_verify_mismatch_exit_1(capsys, monkeypatch):
             table[first] = table[first] + 1
         return table
 
-    monkeypatch.setattr(cli, "bracket_all_signs", off_by_one)
+    monkeypatch.setattr(oracle, "bracket_all_signs", off_by_one)
     code, out, _ = run(capsys, "verify", "--family", "f", "--max-n", "5")
     assert code == 1
     assert out == "family f: 1 mismatches, first [(4, '+++')]"
@@ -209,8 +209,7 @@ def test_verify_mismatch_exit_1(capsys, monkeypatch):
 
 def test_verify_slot_layout_mismatch_exit_1(capsys, monkeypatch):
     # A family one slot too wide for its table is a layout mismatch at every n.
-    _, bumpers, _, render = cli.FAMILIES["f"]
-    monkeypatch.setitem(cli.FAMILIES, "f", (3, bumpers, lambda n: f_terms(n + 1), render))
+    monkeypatch.setattr(recursions, "f_terms", lambda n: f_terms(n + 1))
     code, out, _ = run(capsys, "--json", "verify", "--family", "f", "--max-n", "3")
     assert code == 1
     data = json.loads(out)
@@ -346,18 +345,17 @@ def test_out_of_memory_exit_2(capsys, monkeypatch):
     # A build that runs out of memory is one error line and exit 2, not a traceback;
     # CPython 3.11 may raise the SystemError below instead of MemoryError.
     argv = ["bracket", "--a", "5", "--b", "16", "--signs=" + "+" * 30]
-    _, bumpers, _, render = cli.FAMILIES["h"]
 
     def failing(error):
         def build(n):
             raise error
-        return (5, bumpers, build, render)
+        return build
 
     lost = "<function SlotTerm.__new__> returned NULL without setting an exception"
     for error in (MemoryError(), SystemError(lost)):
-        monkeypatch.setitem(cli.FAMILIES, "h", failing(error))
+        monkeypatch.setattr(recursions, "h_terms", failing(error))
         assert run(capsys, *argv) == (2, "", "error: out of memory"), error
-    monkeypatch.setitem(cli.FAMILIES, "h", failing(SystemError("another internal error")))
+    monkeypatch.setattr(recursions, "h_terms", failing(SystemError("another internal error")))
     with pytest.raises(SystemError):
         main(argv)
 
@@ -386,7 +384,7 @@ def test_bench_prints_a_speedup_below_one(capsys, monkeypatch):
 
 def test_bench_mismatch_exit_1(capsys, monkeypatch):
     # A closed form that disagrees with the oracle is reported, never timed.
-    monkeypatch.setattr(cli, "bracket_bruteforce", lambda sd: LaurentPoly.one())
+    monkeypatch.setattr(oracle, "bracket_bruteforce", lambda sd: LaurentPoly.one())
     code, out, _ = run(capsys, "bench", "--a", "3", "--b", "6")
     assert code == 1
     assert out.startswith("verification mismatch: closed form") and "speedup" not in out

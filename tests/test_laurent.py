@@ -53,6 +53,22 @@ def test_delta_power():
         delta_power(-1)
 
 
+def test_delta_power_rebuilt_after_cache_clear():
+    # The memo clears like every other package memo, and a rebuilt power
+    # equals DELTA multiplied k times whatever order the powers are asked in.
+    delta_power(8)
+    delta_power.cache_clear()
+    assert delta_power.cache_info().currsize == 0
+    want = [ONE]
+    for _ in range(8):
+        want.append(want[-1] * DELTA)
+    for k in (5, 8, 0, 3, 7, 1, 2, 6, 4):
+        assert delta_power(k) == want[k], k
+    with pytest.raises(ValueError):
+        delta_power(-1)
+    assert len(delta_power(2001).terms) == 2002
+
+
 _polys = st.dictionaries(
     st.integers(-8, 8), st.integers(-9, 9), max_size=6
 ).map(LaurentPoly)

@@ -18,6 +18,7 @@ from billiardknots.recursions import (
     f_terms,
     h_terms,
 )
+from billiardknots.signseq import parse_signs
 from billiardknots.terms import (
     AMP,
     APM,
@@ -30,7 +31,6 @@ from billiardknots.terms import (
     Factor,
     TermSum,
     add_all,
-    parse_signs,
     product,
 )
 
