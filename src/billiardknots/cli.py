@@ -417,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         message = str(exc)
     except MemoryError:
         # Reported after the handler, once the failed build's frames are freed.

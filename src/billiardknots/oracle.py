@@ -43,6 +43,13 @@ ORACLE_LIMIT = 24
 #: one int of 2^k rows, one per sign assignment.
 SWEEP_LIMIT = 14
 
+#: Width of one packed coefficient field of ``bracket_all_signs``.  The
+#: packed ints are exact whatever the fields hold mid-sweep (shifts and sums
+#: are plain integer arithmetic), so only the final brackets must fit: over
+#: every table the sweep accepts, the largest |coefficient| is 118 (T(5,8)),
+#: and the tests check this width against 64-bit fields on each of them.
+_FIELD_BITS = 16
+
 
 def _arc_pairings(d: BilliardDiagram) -> list[tuple[tuple[int, int], ...]]:
     """Per crossing, the two smoothing pairings as arc-id pairs."""
@@ -156,12 +163,10 @@ def bracket_all_signs(d: BilliardDiagram) -> dict[str, LaurentPoly]:
     # A row is A^-k times a polynomial in A^2, field j holding the
     # coefficient of A^(2(j - lo) - k).  An A-smoothing shifts a row up one
     # field and each delta spreads it one field each way; no row carries
-    # more than lo deltas, so none runs off its n fields.  Each field sums
-    # at most 2^k states' coefficients of a delta power <= lo, so
-    # |coefficient| <= 2^(k + lo) < 2^(bits - 1): the fields never overlap.
+    # more than lo deltas, so none runs off its n fields.
     lo = d.free_loops + most - 1
     n = 2 * lo + k + 1
-    bits = max(8, 1 << (k + lo + 1).bit_length())
+    bits = _FIELD_BITS
 
     def spread(row: int, deltas: int) -> int:
         for _ in range(deltas):

@@ -22,12 +22,12 @@ Term counts obey closed formulas: the f-family summand count
 ``len(f_summands(b))`` is ``padovan(b + 4)`` and the h-family skeleton count
 ``len(h_skeletons(b))`` is 2^(b-4); both are asserted in the tests.
 
-P-block variant selection.  Each composition part expands to P'_c or P~'_c.
-The resolved convention, validated against the printed width-4..6 tables and
-the exhaustive oracle sweep: heads are always [h3, P~'_(i-2)] and
-[h2, P'_(i-1)]; a tail part preceded by s slot-pairs inside the tail takes
-P' exactly when i + s is odd.  ``h_skeletons`` names the choice per part so
-it can be dumped for inspection.
+P-block variant selection.  A P block is named by the column it starts
+at: P~' at an even column, P' at an odd one (P~'_1 = P'_1).  The head P
+blocks after h3 and h2 start at columns 2 and 1; a tail part preceded by s
+slot pairs starts at column i + s.  The rule was validated against the
+printed width-4..6 tables and the exhaustive oracle sweep; ``h_skeletons``
+names the choice per part so it can be dumped for inspection.
 
 Writhe recursions: extending a knot table by one period (three crossings at
 height 3, ten at height 5) adds a signed pattern that depends only on the
@@ -71,61 +71,48 @@ BLOCK_SPELLINGS: dict[str, Spelling] = {
 }
 
 
+#: The two summands of P'_i (``P``), P~'_i (``P̃``) and Q_i, keyed by
+#: (symbol, i % 2), each as (head, block repeated j = (i-2)//2 times, tail);
+#: so P'_i at odd i = 2j+3 is (R,N^j,A^±,A^∓) + (A^±,K^(j+1),A^±).  Every
+#: even-index prime block is consumed at an even recursion stage, where the
+#: one-bumper pieces feeding it carry Ñ rather than N; the even Q block's
+#: second piece carries N (not K), and j = (i-2)//2 is the unique index giving
+#: width 2i.  The exhaustive oracle sweep (first decisive at width 2*5)
+#: confirms each choice.
+_PQ_ROWS = {
+    ("P", 1): ((("R",), "N", ("A^±", "A^∓")), (("A^±", "K"), "K", ("A^±",))),
+    ("P", 0): ((("X",), "Ñ", ("A^∓", "A^±")), (("A^±",), "K", ("L",))),
+    ("P̃", 1): ((("L",), "K", ("L",)), (("R̃",), "Ñ", ("A^∓", "A^±"))),
+    ("P̃", 0): ((("L",), "K", ("A^±",)), (("X",), "N", ("A^±", "A^∓"))),
+    ("Q", 1): ((("M",), "K", ("L",)), (("S",), "Ñ", ("A^∓", "A^±"))),
+    ("Q", 0): ((("M",), "K", ("A^±",)), (("g2",), "N", ("A^±", "A^∓"))),
+}
+
+
+def _pq_rows(symbol: str, i: int) -> Spelling:
+    j = (i - 2) // 2
+    (h1, r1, t1), (h2, r2, t2) = _PQ_ROWS[symbol, i % 2]
+    return h1 + (r1,) * j + t1, h2 + (r2,) * j + t2
+
+
 def p_spelling(i: int, tilde: bool) -> Spelling:
-    """P'_i (or P~'_i when ``tilde``), width 2i.
+    """P'_i (or P~'_i when ``tilde``), width 2i, from the rows of ``_PQ_ROWS``.
 
-    P'_1 = P~'_1 = (A^±,A^±); P'_2 = (K)+(A^±,L)+(X,A^∓,A^±) and
-    P~'_2 = (X,A^±,A^∓)+(L,A^±)+(K); for i >= 3,
-
-    P'_i,  odd i = 2j+3:  (R,N^j,A^±,A^∓) + (A^±,K^(j+1),A^±),
-    P'_i,  even i = 2j+2: (X,Ñ^j,A^∓,A^±) + (A^±,K^j,L),
-    P~'_i, odd i = 2j+3:  (L,K^j,L) + (R̃,Ñ^j,A^∓,A^±),
-    P~'_i, even i = 2j+2: (L,K^j,A^±) + (X,N^j,A^±,A^∓).
-
-    Every even-index prime block is consumed at an even recursion stage,
-    where the one-bumper pieces feeding it carry Ñ rather than N; the
-    exhaustive oracle sweep (first decisive at width 2*5) confirms Ñ.
+    P'_1 = P~'_1 = (A^±,A^±); P'_2 and P~'_2 add a third summand, (K).
     """
     if i < 1:
         raise ValueError("P block index must be >= 1")
     if i == 1:
         return (("A^±", "A^±"),)
-    if i == 2:
-        if tilde:
-            return (("X", "A^±", "A^∓"), ("L", "A^±"), ("K",))
-        return (("K",), ("A^±", "L"), ("X", "A^∓", "A^±"))
-    if i % 2 == 1:
-        j = (i - 3) // 2
-        if tilde:
-            return (("L",) + ("K",) * j + ("L",),
-                    ("R̃",) + ("Ñ",) * j + ("A^∓", "A^±"))
-        return (("R",) + ("N",) * j + ("A^±", "A^∓"),
-                ("A^±",) + ("K",) * (j + 1) + ("A^±",))
-    j = (i - 2) // 2
-    if tilde:
-        return (("L",) + ("K",) * j + ("A^±",),
-                ("X",) + ("N",) * j + ("A^±", "A^∓"))
-    return (("X",) + ("Ñ",) * j + ("A^∓", "A^±"),
-            ("A^±",) + ("K",) * j + ("L",))
+    rows = _pq_rows("P̃" if tilde else "P", i)
+    return rows + (("K",),) if i == 2 else rows
 
 
 def q_spelling(i: int) -> Spelling:
-    """Q_i (i >= 3), width 2i.
-
-    odd i = 2j+3:  (M,K^j,L) + (S,Ñ^j,A^∓,A^±),
-    even i = 2j+2: (M,K^j,A^±) + (g2,N^j,A^±,A^∓).
-
-    The even case indexes j = (i-2)/2: that is the unique choice giving width
-    2i, and the second piece carries N (not K); both points are validated by
-    the exhaustive oracle sweep in the test suite.
-    """
+    """Q_i (i >= 3), width 2i, from the rows of ``_PQ_ROWS``."""
     if i < 3:
         raise ValueError("Q block index must be >= 3")
-    if i % 2 == 1:
-        j = (i - 3) // 2
-        return (("M",) + ("K",) * j + ("L",), ("S",) + ("Ñ",) * j + ("A^∓", "A^±"))
-    j = (i - 2) // 2
-    return (("M",) + ("K",) * j + ("A^±",), ("g2",) + ("N",) * j + ("A^±", "A^∓"))
+    return _pq_rows("Q", i)
 
 
 _INDEXED = re.compile(r"(P̃|P|Q|h)([1-9][0-9]*)")
@@ -180,20 +167,12 @@ def _f_symbols(summand: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sym for tok in summand for sym in _F_TOKENS[tok])
 
 
+#: The rewriting, keyed by a summand's last token: each row replaces it.
+_F_REWRITE = {"V": (("C",),), "H": (("H", "V"),), "C": (("C", "V"), ("V", "H"))}
+
+
 def _f_step(summands: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
-    out: list[tuple[str, ...]] = []
-    for s in summands:
-        last = s[-1]
-        if last == "V":
-            out.append(s[:-1] + ("C",))
-        elif last == "H":
-            out.append(s + ("V",))
-        elif last == "C":
-            out.append(s[:-1] + ("C", "V"))
-            out.append(s[:-1] + ("V", "H"))
-        else:
-            raise AssertionError(f"summand ends in head token {last}")
-    return out
+    return [s[:-1] + row for s in summands for row in _F_REWRITE[s[-1]]]
 
 
 def f_summands(b: int) -> tuple[tuple[str, ...], ...]:
@@ -285,21 +264,20 @@ class HSkeleton:
         self.tail = tail
 
     def head_names(self) -> tuple[str, str, str]:
-        return (_p_name(self.i - 2, tilde=True), _p_name(self.i - 1, tilde=False),
-                f"Q{self.i}")
+        return _p_name(self.i - 2, 2), _p_name(self.i - 1, 1), f"Q{self.i}"
 
     def tail_names(self) -> tuple[str, ...]:
-        """P' for a part preceded by s slot pairs exactly when i + s is odd."""
-        names = []
-        s = 0
+        """A part preceded by s slot pairs starts at column i + s."""
+        names, at = [], self.i
         for c in self.tail:
-            names.append(_p_name(c, tilde=(self.i + s) % 2 == 0))
-            s += c
+            names.append(_p_name(c, at))
+            at += c
         return tuple(names)
 
 
-def _p_name(c: int, tilde: bool) -> str:
-    return f"P̃{c}" if tilde and c >= 2 else f"P{c}"
+def _p_name(c: int, at: int) -> str:
+    """The P block of index c starting at column ``at``: P̃ at even columns."""
+    return f"P̃{c}" if at % 2 == 0 and c > 1 else f"P{c}"
 
 
 def h_skeletons(b: int) -> tuple[HSkeleton, ...]:

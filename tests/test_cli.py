@@ -360,6 +360,17 @@ def test_out_of_memory_exit_2(capsys, monkeypatch):
         main(argv)
 
 
+def test_library_key_error_propagates(monkeypatch):
+    # Bad input raises ValueError; a KeyError from the library is a bug, so
+    # main lets it through instead of exiting 2.
+    def build(n):
+        raise KeyError("P0")
+
+    monkeypatch.setattr(recursions, "h_terms", build)
+    with pytest.raises(KeyError):
+        main(["bracket", "--a", "5", "--b", "4", "--signs=++++++"])
+
+
 def test_bench_small(capsys):
     code, out, _ = run(capsys, "--json", "bench", "--a", "3", "--b", "6")
     assert code == 0

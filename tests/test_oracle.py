@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from billiardknots import oracle
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, QuarterPoly, jones_normalize
 from billiardknots.oracle import (
@@ -108,7 +110,6 @@ def test_crossing_limit():
 def test_all_signs_matches_bruteforce():
     cases = [(3, 5, 0), (5, 3, 0), (5, 4, 2), (5, 4, 1), (3, 6, 0),
              (3, 8, 0), (3, 9, 0), (3, 10, 0), (4, 5, 0), (5, 5, 0),
-             # k = 10: the first table whose sweep needs 32-bit fields.
              (3, 11, 0),
              (5, 5, 1), (5, 5, 2), (5, 6, 2),
              # No crossing: the sweep's one entry is the free loops' state.
@@ -122,7 +123,7 @@ def test_all_signs_matches_bruteforce():
 
 
 def test_all_signs_sampled_at_sweep_limit():
-    # Up to the sweep limit, in 32-bit fields (k >= 10).
+    # Up to the sweep limit (k >= 10).
     assert diagram(5, 8).crossing_count == 14 == SWEEP_LIMIT
     rng = random.Random(14)
     for a, b, bump in [(5, 8, 0), (5, 6, 0), (5, 6, 1), (5, 7, 2)]:
@@ -132,6 +133,29 @@ def test_all_signs_sampled_at_sweep_limit():
         assert list(table) == list(sign_sequences(d))
         for s in rng.sample(list(table), 20):
             assert table[s] == bracket_bruteforce(d.assign_signs(s)), (a, b, bump, s)
+
+
+def test_all_signs_field_width_holds_on_every_table(monkeypatch):
+    """The packed fields are wide enough for every table the sweep accepts.
+
+    Each sweep is compared with a run in 64-bit fields, which is exact by the
+    loose bound |coefficient| <= 2^(k + lo) that the tests assert.
+    """
+    tables = []
+    for a, b, bump in itertools.product(range(1, 31), range(1, SWEEP_LIMIT + 2), range(3)):
+        try:
+            d = diagram(a, b, bumpers=bump)
+        except ValueError:
+            continue
+        if d.crossing_count <= SWEEP_LIMIT:
+            tables.append(d)
+    assert len(tables) == 48
+    shipped = [bracket_all_signs(d) for d in tables]
+    monkeypatch.setattr(oracle, "_FIELD_BITS", 64)
+    for d, table in zip(tables, shipped):
+        lo = d.free_loops + _moves(d)[1] - 1
+        assert d.crossing_count + lo + 2 <= 64, d.spec
+        assert bracket_all_signs(d) == table, d.spec
 
 
 def test_all_signs_entries_do_not_alias():

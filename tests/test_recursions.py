@@ -188,6 +188,50 @@ def test_blocks_are_spelled_once(monkeypatch):
     assert {name for name, *_ in calls} == {"p_spelling", "q_spelling"}
 
 
+#: P'_i, P~'_i and Q_i as the closed forms print them, keyed by (block, i)
+#: at i = 2 and by (block, i % 2) for i >= 3, with odd i = 2j+3 and even
+#: i = 2j+2.
+PRINTED_PQ = {
+    ("P", 2): "(K)+(A^±,L)+(X,A^∓,A^±)",
+    ("P̃", 2): "(X,A^±,A^∓)+(L,A^±)+(K)",
+    ("P", 1): "(R,N^j,A^±,A^∓)+(A^±,K^(j+1),A^±)",
+    ("P", 0): "(X,Ñ^j,A^∓,A^±)+(A^±,K^j,L)",
+    ("P̃", 1): "(L,K^j,L)+(R̃,Ñ^j,A^∓,A^±)",
+    ("P̃", 0): "(L,K^j,A^±)+(X,N^j,A^±,A^∓)",
+    ("Q", 1): "(M,K^j,L)+(S,Ñ^j,A^∓,A^±)",
+    ("Q", 0): "(M,K^j,A^±)+(g2,N^j,A^±,A^∓)",
+}
+
+
+def _printed_pq(block, i):
+    """The summands of PRINTED_PQ's formula for block i, repeats written out."""
+    text = PRINTED_PQ[block, i] if i == 2 else PRINTED_PQ[block, i % 2]
+    j = (i - 3) // 2 if i % 2 else (i - 2) // 2
+    out = []
+    for summand in text[1:-1].split(")+("):
+        symbols = ()
+        for token in summand.split(","):
+            sym, _, power = token.partition("^")
+            repeats = {"j": j, "(j+1)": j + 1}.get(power)
+            symbols += (token,) if repeats is None else (sym,) * repeats
+        out.append(symbols)
+    return out
+
+
+def test_pq_spellings_pinned():
+    # The exhaustive sweeps reach i = 7 and the past-limit checks i = 8; the
+    # widths are pinned further out, the printed formulas where they reach.
+    for i in range(2, 61):
+        spellings = {"P": recursions.p_spelling(i, False), "P̃": recursions.p_spelling(i, True)}
+        if i >= 3:
+            spellings["Q"] = recursions.q_spelling(i)
+        for block, spelling in spellings.items():
+            for summand in spelling:
+                assert sum(expand_block(sym).width for sym in summand) == 2 * i, (block, i)
+            if i <= 7:
+                assert Counter(spelling) == Counter(_printed_pq(block, i)), (block, i)
+
+
 def test_import_builds_no_block():
     script = "import billiardknots; print(billiardknots.expand_block.cache_info().currsize)"
     env = {**os.environ, "PYTHONPATH": str(Path(billiardknots.__file__).parents[1])}
