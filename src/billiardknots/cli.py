@@ -39,9 +39,14 @@ FAMILIES = {
 #: Size limit of ``terms`` and ``tilings``, checked before anything is built:
 #: the f family's summand count padovan(n + 4), or the h family's skeleton
 #: count 2^(n - 4) (for b and bt, that of their h<n-1> prefix).  The largest
-#: build it admits, ``terms --family bt --n 13``, takes ~0.8 s and ~190 MB on
-#: a 2-vCPU VM.
+#: build it admits, ``terms --family bt --n 13``, takes ~0.5–0.7 s and
+#: ~130 MB on a 2-vCPU VM.
 EXPANSION_LIMIT = 256
+
+#: Crossing limit of ``pd``.  The largest tables it admits, T(5,10001) and
+#: T(3,20001) at 20,000 crossings, print their codes in ~1.1 s and ~70 MB on
+#: a 2-vCPU VM; a table over b = 20,001 is refused before it is traced.
+PD_LIMIT = 20_000
 
 
 def _family(family: str) -> tuple[int, int, Callable[[int], TermSum], Callable[[int], str]]:
@@ -164,7 +169,7 @@ def cmd_terms(args) -> int:
     _check_expansion_size(family, n)
     ts = terms(n)
     rendered = render(n)
-    counts = {"slot_width": ts.width, "flat_terms": len(ts.terms)}
+    counts = {"slot_width": ts.width, "flat_terms": len(ts)}
     if family == "f":
         counts["summands"] = len(f_summands(n))
     elif family == "h" and n >= 4:
@@ -185,10 +190,10 @@ def cmd_terms(args) -> int:
 
 
 def cmd_pd(args) -> int:
-    from .billiard import diagram
+    from .billiard import TableSpec
 
-    d = diagram(args.a, args.b, bumpers=args.bumpers)
-    spec = d.spec
+    spec = TableSpec(args.a, args.b, args.bumpers)
+    d = _diagram_within(spec, PD_LIMIT, "pd")
     signs = args.signs
     if signs is None:
         signs = "".join(
@@ -307,7 +312,7 @@ def cmd_bench(args) -> int:
     lines = [
         f"table {spec.label()} signs {signs}",
         f"oracle: 2^{k} = {1 << k} smoothing states in {oracle_s:.4f}s",
-        f"recursion: {len(ts.terms)} flat terms"
+        f"recursion: {len(ts)} flat terms"
         + (f" from {skeletons} skeletons" if skeletons else "")
         + f" in {recursion_s:.6f}s (one-time expansion {build_s:.3f}s)",
         f"end-to-end speedup (expansion + evaluation): {end_to_end:.3g}x",
@@ -317,7 +322,7 @@ def cmd_bench(args) -> int:
         args,
         "\n".join(lines),
         {"table": spec.label(), "signs": signs, "oracle_states": 1 << k,
-         "oracle_seconds": oracle_s, "recursion_terms": len(ts.terms),
+         "oracle_seconds": oracle_s, "recursion_terms": len(ts),
          "skeletons": skeletons, "recursion_seconds": recursion_s,
          "expansion_seconds": build_s, "speedup": speedup,
          "end_to_end_speedup": end_to_end,

@@ -3,11 +3,12 @@
 A bracket expansion for a family of diagrams with indeterminate crossing
 signs is a sum of *slot terms*: each term is a power of δ times one factor
 per crossing slot, and each factor is a function of that slot's sign alone
-(a term's sign comes from its f2 factors).  A term is the plain pair
-``(delta, codes)``: an int δ-power and a ``bytes`` object holding one
-``Factor`` code per slot, so its width is ``len(codes)``.  Evaluating the
-sum against a concrete sign sequence produces the exact Kauffman bracket of
-that signed diagram.
+(a term's sign comes from its f2 factors).  A term is an int δ-power and
+a ``bytes`` *row* holding one ``Factor`` code per slot, so its width is
+``len(row)``.  A sum keeps its terms as two parallel columns, ``deltas`` and
+``rows``, and shows them as ``(delta, row)`` pairs only through its
+read-only ``terms`` view.  Evaluating the sum against a concrete sign
+sequence produces the exact Kauffman bracket of that signed diagram.
 
 Factor alphabet (s is the slot sign, +1 or -1).  A factor's code is the
 byte the evaluation kernel reads: its A-exponent at s = +1, plus 3, with
@@ -32,9 +33,9 @@ in the closed-form tables: the single factors (A^±, A^∓, f2^±, f2^∓, _) an
 δ.  Every block, named or indexed, is spelled over these units in
 ``recursions``, which resolves each spelling to a flat term sum; evaluation
 never recurses.  ``add_all`` sums any number of term sums in one pass and
-``product`` multiplies them out; both take the width from their parts, so
-only the public ``TermSum`` constructor checks terms one by one.  A sum's
-skip layout is read off its codes.
+``product`` multiplies them out; both build the two columns directly and
+take the width from their parts, so only the public ``TermSum`` constructor
+checks terms one by one.  A sum's skip layout is read off its rows.
 
 Evaluation has one kernel, ``CompiledTermSum``: it packs a sum once into
 big ints with one fixed-width field per term, so a sign vector costs one
@@ -80,96 +81,107 @@ def _render_term(delta: int, codes: bytes) -> str:
 
 
 class TermSum:
-    """A finite list of slot terms ``(delta, codes)`` sharing one slot width.
+    """A finite sum of slot terms sharing one slot width, kept as two
+    parallel columns: ``deltas`` (int δ-powers) and ``rows`` (one ``bytes``
+    of factor codes per term).
 
     Terms are kept literally as constructed (no cross-term simplification),
     so printed forms diff cleanly against the closed-form tables.
     """
 
-    __slots__ = ("terms", "width")
+    __slots__ = ("deltas", "rows", "width")
 
     def __init__(self, terms: Iterable[tuple[int, Iterable[Factor]]], width: int | None = None):
-        self.terms: tuple[tuple[int, bytes], ...] = tuple((d, bytes(f)) for d, f in terms)
+        pairs = [(d, bytes(f)) for d, f in terms]
+        self.deltas: tuple[int, ...] = tuple(d for d, _ in pairs)
+        self.rows: tuple[bytes, ...] = tuple(row for _, row in pairs)
         if width is None:
-            if not self.terms:
+            if not pairs:
                 raise ValueError("width required for an empty term sum")
-            width = len(self.terms[0][1])
+            width = len(self.rows[0])
         self.width = width
         mask = None
-        for delta, codes in self.terms:
+        for delta, row in pairs:
             if not isinstance(delta, int) or delta < 0:
                 raise ValueError(f"delta exponent must be an int >= 0, got {delta!r}")
-            if len(codes) != width:
-                raise ValueError(f"inconsistent widths: {len(codes)} vs {width}")
-            if codes.translate(None, _FACTOR_CODES):
+            if len(row) != width:
+                raise ValueError(f"inconsistent widths: {len(row)} vs {width}")
+            if row.translate(None, _FACTOR_CODES):
                 raise ValueError("factor codes must be Factor values")
             if mask is None:
-                mask = codes.translate(_SKIP_MASK)
-            elif codes.translate(_SKIP_MASK) != mask:
+                mask = row.translate(_SKIP_MASK)
+            elif row.translate(_SKIP_MASK) != mask:
                 raise ValueError("terms disagree on skipped slot positions")
 
     @classmethod
-    def _trusted(cls, terms: tuple[tuple[int, bytes], ...], width: int) -> "TermSum":
-        """A term sum of terms already known valid; nothing is re-checked."""
+    def _trusted(cls, deltas: tuple[int, ...], rows: tuple[bytes, ...], width: int) -> "TermSum":
+        """A term sum of columns already known valid; nothing is re-checked."""
         ts = cls.__new__(cls)
-        ts.terms = terms
-        ts.width = width
+        ts.deltas, ts.rows, ts.width = deltas, rows, width
         return ts
 
     @property
+    def terms(self) -> tuple[tuple[int, bytes], ...]:
+        """The terms as ``(delta, row)`` pairs, in order; built on each read."""
+        return tuple(zip(self.deltas, self.rows))
+
+    @property
     def skip_positions(self) -> frozenset[int]:
-        """The slots every term skips, read off the first term's codes."""
-        first = self.terms[0][1] if self.terms else b""
+        """The slots every term skips, read off the first row."""
+        first = self.rows[0] if self.rows else b""
         return frozenset(i for i, f in enumerate(first) if f == Factor.SKIP)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.deltas)
 
     def evaluate(self, signs: SignSeq | str) -> LaurentPoly:
         return CompiledTermSum(self).evaluate(signs)
 
     def canonical(self) -> tuple:
-        """Order-free fingerprint: the multiset of (codes, delta) pairs."""
-        return tuple(sorted((codes, delta) for delta, codes in self.terms))
+        """Order-free fingerprint: the multiset of (row, delta) pairs."""
+        return tuple(sorted(zip(self.rows, self.deltas)))
 
     def render(self) -> str:
-        return "+".join(_render_term(*t) for t in self.terms) if self.terms else "0"
+        return "+".join(map(_render_term, self.deltas, self.rows)) if self.rows else "0"
 
     def __repr__(self) -> str:
-        return f"TermSum(width={self.width}, terms={len(self.terms)})"
+        return f"TermSum(width={self.width}, terms={len(self)})"
 
 
 def add_all(parts: Iterable[TermSum]) -> TermSum:
-    """Sum of term sums in one pass: joins every part's terms and checks once
-    per part that the widths and skip layouts agree; the terms themselves
-    are not re-walked."""
-    terms: list[tuple[int, bytes]] = []
+    """Sum of term sums in one pass: joins every part's columns and checks
+    once per part that the widths and skip layouts agree; the terms
+    themselves are not re-walked."""
+    deltas: list[int] = []
+    rows: list[bytes] = []
     width = mask = None
     for part in parts:
         if width is None:
             width = part.width
         elif part.width != width:
             raise ValueError("cannot add term sums of different widths")
-        if part.terms:
+        if part.rows:
             if mask is None:
-                mask = part.terms[0][1].translate(_SKIP_MASK)
-            elif part.terms[0][1].translate(_SKIP_MASK) != mask:
+                mask = part.rows[0].translate(_SKIP_MASK)
+            elif part.rows[0].translate(_SKIP_MASK) != mask:
                 raise ValueError("cannot add term sums with different skip layouts")
-        terms.extend(part.terms)
+        deltas.extend(part.deltas)
+        rows.extend(part.rows)
     if width is None:
         raise ValueError("width required for an empty term sum")
-    return TermSum._trusted(tuple(terms), width)
+    return TermSum._trusted(tuple(deltas), tuple(rows), width)
 
 
 def product(*sums: TermSum) -> TermSum:
     """Juxtaposition of any number of term sums; the width is the sum of the
-    parts' widths."""
-    terms = EMPTY.terms
-    width = 0
+    parts' widths.  Terms come in lexicographic order of the parts' term
+    indices, the last part varying fastest."""
+    deltas, rows, width = EMPTY.deltas, EMPTY.rows, 0
     for s in sums:
-        terms = [(pd + qd, pc + qc) for pd, pc in terms for qd, qc in s.terms]
+        deltas = [pd + qd for pd in deltas for qd in s.deltas]
+        rows = [pr + qr for pr in rows for qr in s.rows]
         width += s.width
-    return TermSum._trusted(tuple(terms), width)
+    return TermSum._trusted(tuple(deltas), tuple(rows), width)
 
 
 #: Width-0 multiplicative unit.
@@ -208,12 +220,12 @@ class CompiledTermSum:
         self.skip_positions = ts.skip_positions
         self._r = r = 6 * w + 1
         size = array(self._FIELD).itemsize
-        self._bytes = len(ts.terms) * size
-        deltas, rows = zip(*ts.terms) if ts.terms else ((), ())
+        deltas = ts.deltas
+        self._bytes = len(deltas) * size
         max_k = max(deltas, default=0)
         if (2 * max_k + 2) * r > 1 << 8 * size:
             raise ValueError(f"width {w} at δ-power {max_k} overflows {8 * size}-bit fields")
-        codes = b"".join(rows)
+        codes = b"".join(ts.rows)
         ones = int.from_bytes(array(self._FIELD, (1,)) * len(deltas), sys.byteorder)
         self._six, sevens = 6 * ones, 7 * ones
         buf = bytearray(self._bytes)

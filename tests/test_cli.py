@@ -11,7 +11,7 @@ import pytest
 import billiardknots
 from billiardknots import cli, oracle, recursions
 from billiardknots.billiard import diagram
-from billiardknots.cli import EXPANSION_LIMIT, main
+from billiardknots.cli import EXPANSION_LIMIT, PD_LIMIT, main
 from billiardknots.laurent import LaurentPoly, jones_normalize
 from billiardknots.oracle import ORACLE_LIMIT, SWEEP_LIMIT, bracket_bruteforce
 from billiardknots.recursions import b_terms, bt_terms, f_terms, h_terms
@@ -178,6 +178,23 @@ def test_pd(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("PD[X[")
     assert lines[1].startswith("O1")
+
+
+def test_pd_over_limit_exit_2(capsys, monkeypatch):
+    # T(5,40000) is refused by its width before tracing.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pd", "--a", "5", "--b", "40000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"at least 39999 crossings, over the pd limit {PD_LIMIT}" in err
+    # At a limit of 10, T(5,6) has exactly 10 crossings and is admitted;
+    # T(5,7) is traced and refused by its 12 crossings, T(3,12) by its width.
+    monkeypatch.setattr(cli, "PD_LIMIT", 10)
+    assert run(capsys, "pd", "--a", "5", "--b", "6")[0] == 0
+    for a, b, crossings in (("5", "7", "12"), ("3", "12", "at least 11")):
+        code, out, err = run(capsys, "pd", "--a", a, "--b", b)
+        assert code == 2 and out == ""
+        assert f"{crossings} crossings, over the pd limit 10" in err
 
 
 def test_verify_ok(capsys):

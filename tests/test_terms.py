@@ -2,21 +2,28 @@ import inspect
 import itertools
 import random
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from billiardknots import recursions
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, delta_power
 from billiardknots.recursions import (
     BLOCK_SPELLINGS,
     b_terms,
     bt_terms,
+    bumpered_summands,
     expand_block,
+    f_summands,
     f_terms,
+    h_summands,
     h_terms,
+    p_spelling,
+    q_spelling,
 )
 from billiardknots.signseq import parse_signs
 from billiardknots.terms import (
@@ -355,14 +362,62 @@ def test_packing_bound(monkeypatch):
 
 def test_built_sums_match_validated_construction():
     # product and add_all derive the width from their parts without checking
-    # terms; the public constructor checks every term.  Both read the skip
-    # layout off the codes.
+    # terms; the public constructor checks every term and rebuilds the same
+    # two columns from the pair view.  Both read the skip layout off the rows.
     built = [fam(n) for fam in FAMILIES.values() for n in range(1, 10)]
     for ts in built + [expand_block(name) for name in [*UNITS, *BLOCK_SPELLINGS]]:
         checked = TermSum(ts.terms, ts.width)
         assert (checked.width, checked.skip_positions) == (ts.width, ts.skip_positions)
-        assert all(type(codes) is bytes for _, codes in ts.terms)
+        assert (checked.deltas, checked.rows) == (ts.deltas, ts.rows)
+        assert type(ts.deltas) is tuple and type(ts.rows) is tuple
+        assert all(type(codes) is bytes for codes in ts.rows)
     assert b_terms(4).skip_positions == {4}
+
+
+def _pairwise(*parts):
+    """Reference product of term lists: every pair (pd + qd, pc + qc), the
+    last part varying fastest."""
+    terms = [(0, b"")]
+    for part in parts:
+        terms = [(pd + qd, pc + qc) for pd, pc in terms for qd, qc in part]
+    return terms
+
+
+def _spelled(summands):
+    return [t for s in summands for t in _pairwise(*map(_reference, s))]
+
+
+@lru_cache(maxsize=None)
+def _reference(symbol):
+    """A block's terms as a plain list of pairs, built from its spelling."""
+    if symbol in UNITS:
+        return list(UNITS[symbol].terms)
+    if symbol in BLOCK_SPELLINGS:
+        return _spelled(BLOCK_SPELLINGS[symbol])
+    name, i = re.fullmatch(r"(P̃|P|Q|h)(\d+)", symbol).groups()
+    i = int(i)
+    if name == "h":
+        return _spelled(h_summands(i))
+    return _spelled(q_spelling(i) if name == "Q" else p_spelling(i, tilde=name == "P̃"))
+
+
+def test_columns_match_pairwise_reference():
+    # The two columns hold, in order, the terms that a product of
+    # (delta, codes) pairs builds from each family's and block's spelling.
+    spellings = {
+        "f": lambda n: [recursions._f_symbols(s) for s in f_summands(n)],
+        "h": h_summands,
+        "b": lambda n: bumpered_summands(n, 2),
+        "bt": lambda n: bumpered_summands(n, 1),
+    }
+    cases = [(fam(n), _spelled(spellings[name](n)))
+             for name, fam in FAMILIES.items() for n in range(1, 10)]
+    blocks = [f"{p}{i}" for p in ("P", "P̃", "h") for i in range(1, 9)]
+    blocks += [f"Q{i}" for i in range(3, 9)]
+    cases += [(expand_block(name), _reference(name)) for name in blocks]
+    for ts, want in cases:
+        assert list(ts.terms) == want
+        assert len(ts) == len(ts.deltas) == len(ts.rows) == len(want)
 
 
 def test_add_all_rejects_mismatched_parts():
