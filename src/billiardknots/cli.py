@@ -39,13 +39,15 @@ FAMILIES = {
 #: Size limit of ``terms`` and ``tilings``, checked before anything is built:
 #: the f family's summand count padovan(n + 4), or the h family's skeleton
 #: count 2^(n - 4) (for b and bt, that of their h<n-1> prefix).  The largest
-#: build it admits, ``terms --family bt --n 13``, takes ~0.5–0.7 s and
-#: ~130 MB on a 2-vCPU VM.
+#: build it admits, ``terms --family bt --n 13``, takes ~0.2 s and ~75 MB
+#: peak RSS on a 2-vCPU VM.
 EXPANSION_LIMIT = 256
 
 #: Crossing limit of ``pd``.  The largest tables it admits, T(5,10001) and
 #: T(3,20001) at 20,000 crossings, print their codes in ~1.1 s and ~70 MB on
-#: a 2-vCPU VM; a table over b = 20,001 is refused before it is traced.
+#: a 2-vCPU VM; a table whose spec bound ``_min_crossings`` is over the
+#: limit (T(5,b) past b = 10,001, T(3,b) past 20,001) is refused before it
+#: is traced.
 PD_LIMIT = 20_000
 
 
@@ -87,17 +89,25 @@ def _closed_form(spec: TableSpec) -> Callable[[], TermSum] | None:
     return None
 
 
+def _min_crossings(spec: TableSpec) -> int:
+    """A lower bound on the table's crossing count, read off its spec:
+    ⌊(a - 1)/2⌋·(b - 1), one fewer with two bumpers.  It is exact at
+    heights 3 and 5 (checked against the traced count in the tests)."""
+    return max((spec.a - 1) // 2 * (spec.b - 1) - (spec.bumpers == 2), 0)
+
+
 def _diagram_within(spec: TableSpec, limit: int, what: str) -> BilliardDiagram:
     """The diagram of ``spec``, refused when it has over ``limit`` crossings.
 
-    Every table has at least b - 1 crossings, so a wider one is refused
+    A table whose ``_min_crossings`` bound is over the limit is refused
     before it is traced.
     """
     from .billiard import BilliardDiagram
 
-    d = BilliardDiagram(spec) if spec.b - 1 <= limit else None
+    low = _min_crossings(spec)
+    d = BilliardDiagram(spec) if low <= limit else None
     if d is None or d.crossing_count > limit:
-        k = d.crossing_count if d else f"at least {spec.b - 1}"
+        k = d.crossing_count if d else f"at least {low}"
         raise ValueError(f"{spec.label()} has {k} crossings, over the {what} limit {limit}")
     return d
 

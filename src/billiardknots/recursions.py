@@ -115,7 +115,7 @@ def q_spelling(i: int) -> Spelling:
     return _pq_rows("Q", i)
 
 
-_INDEXED = re.compile(r"(P̃|P|Q|h)([1-9][0-9]*)")
+_INDEXED = re.compile(r"(P̃|P|Q|head|h)([1-9][0-9]*)")
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +123,8 @@ def expand_block(symbol: str) -> TermSum:
     """Resolve one symbol of the alphabet to its flat term sum, built once.
 
     A unit of ``terms.UNITS``, a named block of ``BLOCK_SPELLINGS``, or an
-    indexed block: ``P<i>``/``P̃<i>`` (i >= 1, P̃1 = P1), ``Q<i>`` (i >= 3) or
+    indexed block: ``P<i>``/``P̃<i>`` (i >= 1, P̃1 = P1), ``Q<i>`` (i >= 3),
+    ``head<i>`` (i >= 3, the three heads of a height-5 skeleton, summed) or
     ``h<m>`` (m >= 1, the height-5 family).  Every family shares this memo.
     """
     if symbol in UNITS:
@@ -135,9 +136,13 @@ def expand_block(symbol: str) -> TermSum:
         raise ValueError(f"unknown block symbol {symbol!r}")
     name, i = match.group(1), int(match.group(2))
     if name == "h":
-        total = _family_terms(h_summands(i))
+        total = _family_terms(_h_spelling(i))
         assert total.width == 2 * (i - 1)
         return total
+    if name == "head":
+        if i < 3:
+            raise ValueError("head block index must be >= 3")
+        return _family_terms(HSkeleton(i, ()).heads())
     spelling = q_spelling(i) if name == "Q" else p_spelling(i, tilde=name == "P̃")
     return _family_terms(spelling)
 
@@ -266,6 +271,11 @@ class HSkeleton:
     def head_names(self) -> tuple[str, str, str]:
         return _p_name(self.i - 2, 2), _p_name(self.i - 1, 1), f"Q{self.i}"
 
+    def heads(self) -> Spelling:
+        """The three head summands, each followed by the tail."""
+        p_tilde, p_prime, q = self.head_names()
+        return (("h3", p_tilde), ("h2", p_prime), (q,))
+
     def tail_names(self) -> tuple[str, ...]:
         """A part preceded by s slot pairs starts at column i + s."""
         names, at = [], self.i
@@ -308,10 +318,18 @@ def h_summands(b: int) -> Spelling:
         return H3_SPELLING
     out: list[tuple[str, ...]] = []
     for sk in h_skeletons(b):
-        p_tilde, p_prime, q = sk.head_names()
         tail = sk.tail_names()
-        out += [("h3", p_tilde) + tail, ("h2", p_prime) + tail, (q,) + tail]
+        out += [head + tail for head in sk.heads()]
     return tuple(out)
+
+
+def _h_spelling(b: int) -> Spelling:
+    """``h_summands(b)`` with each skeleton's three summands, which share
+    its tail, as one: (head<i>,) + tail from b = 4 on.  Multiplied out, it
+    gives the same terms in the same order."""
+    if b < 4:
+        return h_summands(b)
+    return tuple((f"head{sk.i}",) + sk.tail_names() for sk in h_skeletons(b))
 
 
 def h_terms(b: int) -> TermSum:

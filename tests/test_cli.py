@@ -181,20 +181,62 @@ def test_pd(capsys):
 
 
 def test_pd_over_limit_exit_2(capsys, monkeypatch):
-    # T(5,40000) is refused by its width before tracing.
+    # T(5,40000) is refused by its spec bound 2·39999 before tracing.
     start = time.perf_counter()
     code, out, err = run(capsys, "pd", "--a", "5", "--b", "40000")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert f"at least 39999 crossings, over the pd limit {PD_LIMIT}" in err
+    assert f"at least 79998 crossings, over the pd limit {PD_LIMIT}" in err
     # At a limit of 10, T(5,6) has exactly 10 crossings and is admitted;
-    # T(5,7) is traced and refused by its 12 crossings, T(3,12) by its width.
+    # T(5,7) and T(3,12) are refused by their spec bounds, 12 and 11.
     monkeypatch.setattr(cli, "PD_LIMIT", 10)
     assert run(capsys, "pd", "--a", "5", "--b", "6")[0] == 0
     for a, b, crossings in (("5", "7", "12"), ("3", "12", "at least 11")):
         code, out, err = run(capsys, "pd", "--a", a, "--b", b)
         assert code == 2 and out == ""
         assert f"{crossings} crossings, over the pd limit 10" in err
+
+
+def test_min_crossings_bounds_traced_count():
+    # The spec bound is exact at heights 3 and 5 and a bound at height 4,
+    # over every bumper layout; T(4,b) with no planar closure is skipped.
+    from billiardknots.billiard import BilliardDiagram, TableSpec
+
+    checked = 0
+    for a in (3, 4, 5):
+        for b in range(1, 41):
+            for bumpers in (0, 1, 2) if a == 5 else (0,):
+                spec = TableSpec(a, b, bumpers)
+                try:
+                    k = BilliardDiagram(spec).crossing_count
+                except ValueError:
+                    assert a == 4
+                    continue
+                low = cli._min_crossings(spec)
+                assert low == k if a != 4 else low <= k, spec.label()
+                checked += 1
+    assert checked == 40 + 35 + 3 * 40
+
+
+def test_over_limit_refused_without_a_diagram(capsys, monkeypatch):
+    # T(5,20001) passes the width check b - 1 <= PD_LIMIT but has 40,000
+    # crossings; it and the oracle route's T(5,14) (26 crossings) are
+    # refused from the spec, so no diagram is built.
+    from billiardknots import billiard
+
+    def no_trace(spec):
+        raise AssertionError(f"{spec.label()} was traced")
+
+    monkeypatch.setattr(billiard, "BilliardDiagram", no_trace)
+    for argv, message in (
+        (("pd", "--a", "5", "--b", "20001"), f"at least 40000 crossings, over the pd limit {PD_LIMIT}"),
+        (("bracket", "--a", "5", "--b", "14", "--signs", "+" * 26, "--method", "oracle"),
+         f"at least 26 crossings, over the oracle limit {ORACLE_LIMIT}"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and message in err
 
 
 def test_verify_ok(capsys):

@@ -2,6 +2,8 @@ import inspect
 import itertools
 import random
 import re
+import sys
+from array import array
 from functools import lru_cache
 from pathlib import Path
 
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from billiardknots import recursions
+from billiardknots import recursions, terms
 from billiardknots.billiard import diagram
 from billiardknots.laurent import DELTA, LaurentPoly, delta_power
 from billiardknots.recursions import (
     BLOCK_SPELLINGS,
+    HSkeleton,
     b_terms,
     bt_terms,
     bumpered_summands,
@@ -114,6 +117,17 @@ def test_expand_block_api():
         assert h_terms(m) is expand_block(f"h{m}"), m
     assert expand_block("C") is expand_block("C")
     for bad in ("P0", "P01", "Q2", "h0", "P", "Q", "P̃", "nope", "P'2", "h-1", ""):
+        with pytest.raises(ValueError):
+            expand_block(bad)
+
+
+def test_head_blocks_sum_the_three_heads():
+    # head<i> is the sum of a height-5 skeleton's three heads, in order.
+    for i in range(3, 9):
+        heads = HSkeleton(i, ()).heads()
+        want = [t for head in heads for t in product(*map(expand_block, head)).terms]
+        assert list(expand_block(f"head{i}").terms) == want
+    for bad in ("head", "head0", "head1", "head2", "head03"):
         with pytest.raises(ValueError):
             expand_block(bad)
 
@@ -372,6 +386,44 @@ def test_built_sums_match_validated_construction():
         assert type(ts.deltas) is tuple and type(ts.rows) is tuple
         assert all(type(codes) is bytes for codes in ts.rows)
     assert b_terms(4).skip_positions == {4}
+
+
+def _held_bytes(ts):
+    """Bytes of the objects a term sum's slots hold, a tuple's items included."""
+    total = 0
+    for name in type(ts).__slots__:
+        value = getattr(ts, name)
+        total += sys.getsizeof(value)
+        if type(value) is tuple:
+            total += sum(map(sys.getsizeof, value))
+    return total
+
+
+def test_columns_hold_width_plus_delta_field_per_term():
+    # One code byte per slot and one δ field per term, plus the column
+    # objects' headers: no object per term.
+    field = array("I").itemsize
+    for ts in (h_terms(9), bt_terms(9)):
+        assert len(ts) > 5000
+        assert _held_bytes(ts) <= (ts.width + field) * len(ts) + 1024
+
+
+def test_product_delta_overflow_raises():
+    # δ-powers add in the δ column's machine ints; a product whose top
+    # δ-power passes the column's maximum is refused, never wrapped.
+    top = terms._DELTA_MAX
+    assert top == 2 ** (8 * array("I").itemsize) - 1
+    half = TermSum([(top // 2 + 1, (Factor.APM,)), (0, (Factor.AMP,))])
+    single = TermSum([(top // 2 + 1, (Factor.APM,))])
+    rest = TermSum([(top - top // 2 - 1, (Factor.AMP,))])
+    assert product(half, rest).deltas == (top, top - top // 2 - 1)
+    assert product(rest, single).deltas == (top,)
+    for parts in ((half, half), (single, single), (rest, UNITS["δ"], single),
+                  (rest, UNITS["δ"], half), (half, UNITS["δ"], single)):
+        with pytest.raises(ValueError, match="overflows the δ column"):
+            product(*parts)
+    with pytest.raises(ValueError, match="overflows the δ column"):
+        TermSum([(top + 1, (Factor.APM,))])
 
 
 def _pairwise(*parts):
